@@ -9,7 +9,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from multiprocessing import get_context
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .engine import ConfigError, RunResult, ScenarioConfig, run_scenario
 from .metrics import MetricsReport, aggregate_runs
@@ -145,6 +145,11 @@ class _AtomicCsv:
     def write_row(self, row: Sequence) -> None:
         self._writer.writerow([_fmt(v) for v in row])
 
+    def write_rows(self, rows: Iterable[Sequence]) -> None:
+        """Rows of ints, strings and floats only: csv writes ints with str
+        and floats with repr, as _fmt would."""
+        self._writer.writerows(rows)
+
     def commit(self) -> None:
         self._fh.close()
         os.replace(self._tmp, self.path)
@@ -210,11 +215,13 @@ def run_sweep(cfg: ScenarioConfig, runs: int, base_seed: int, out_dir: str,
         def consume(run_idx: int, result: RunResult) -> None:
             reports.append(result.report)
             raw_rows.append(_raw_row(run_idx, result))
-            for (rnd, total, clean), bl in zip(result.availability,
-                                               result.blacklisted_counts):
-                ts_csv.write_row([run_idx, rnd, total, clean, bl])
-            for rnd, event, node, subject, value in result.events:
-                ev_csv.write_row([run_idx, rnd, event, node, subject, value])
+            ts_csv.write_rows((run_idx, rnd, total, clean, bl)
+                              for (rnd, total, clean), bl in zip(result.availability,
+                                                                 result.blacklisted_counts))
+            ev_csv.write_rows((run_idx, rnd, event, node,
+                               "na" if subject is None else subject,
+                               "na" if value is None else value)
+                              for rnd, event, node, subject, value in result.events)
 
         if jobs > 1 and runs > 1:
             with get_context("fork").Pool(processes=min(jobs, runs)) as pool:
@@ -238,16 +245,17 @@ def run_sweep(cfg: ScenarioConfig, runs: int, base_seed: int, out_dir: str,
         _atomic_csv(os.path.join(raw_dir, "metrics.csv"), RAW_COLUMNS, raw_rows)
         ts_csv.commit()
         ev_csv.commit()
-    except TraceError as exc:
+    except BaseException as exc:
+        # no half-written report survives a failed sweep, whatever failed
         for out in open_files:
             out.discard()
-        print(f"trace error: {exc}", file=sys.stderr)
-        return EXIT_TRACE
-    except OSError as exc:
-        for out in open_files:
-            out.discard()
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        if isinstance(exc, TraceError):
+            print(f"trace error: {exc}", file=sys.stderr)
+            return EXIT_TRACE
+        if isinstance(exc, OSError):
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        raise
     return EXIT_OK
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
-from .domain import DataMessage
+from .domain import DataMessage, require_finite
 
 
 @dataclass
@@ -15,6 +15,7 @@ class ClusterConfig:
     neighbor_ttl_rounds: int = 3  # evict records not refreshed within this many rounds
 
     def validate(self) -> None:
+        require_finite(self, "cthresh")
         if not self.cthresh > 0:
             raise ValueError("cthresh must be > 0")
         if self.neighbor_ttl_rounds < 1:
@@ -202,34 +203,24 @@ def extract_clusters(similar_sets: Mapping[int, Set[int]], rnd: int,
     edge. Components of size >= 2 become clusters; leaders are the members
     with the most similar neighbors inside their own cluster.
     """
-    parent: Dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    nodes = [n for n in similar_sets if n not in excluded]
-    for n in nodes:
-        parent[n] = n
-    for u in nodes:
-        su = similar_sets[u]
-        for v in su:
-            if v > u and v in parent and u in similar_sets.get(v, ()):
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[rv] = ru
-
-    groups: Dict[int, List[int]] = {}
-    for n in nodes:
-        groups.setdefault(find(n), []).append(n)
-
     clusters: List[Tuple[int, ...]] = []
     leaders: List[Tuple[int, ...]] = []
-    for members in sorted(groups.values(), key=min):
+    seen = set(excluded)
+    # a traversal from each unvisited node in ascending id order finds every
+    # component from its smallest member, so they come out in that order
+    for start in sorted(similar_sets):
+        if start in seen:
+            continue
+        seen.add(start)
+        members = [start]
+        frontier = [start]
+        while frontier:
+            u = frontier.pop()
+            for v in similar_sets[u]:
+                if v not in seen and u in similar_sets.get(v, ()):
+                    seen.add(v)
+                    members.append(v)
+                    frontier.append(v)
         if len(members) < 2:
             continue
         member_set = set(members)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .domain import AlertMessage, validate_alert_message
+from .domain import AlertMessage, require_finite, validate_alert_message
 
 
 @dataclass
@@ -18,6 +18,7 @@ class DetectionConfig:
     region_cap: int = 5  # max similar neighbors sampled into a consensus region
 
     def validate(self) -> None:
+        require_finite(self, "consensus_threshold")
         if not self.consensus_threshold > 0:
             raise ValueError("consensus_threshold must be > 0")
         if self.region_cap < 1:

@@ -15,6 +15,14 @@ def is_finite_reading(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def require_finite(owner, *names: str) -> None:
+    """Raise ValueError naming the first listed attribute of ``owner`` that
+    is NaN or infinite."""
+    for name in names:
+        if not math.isfinite(getattr(owner, name)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class DataMessage:
     """Periodic broadcast: sender id, individual reading, aggregate reading

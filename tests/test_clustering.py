@@ -2,6 +2,9 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fdisim.clustering import (ClusterConfig, NeighborRecord, NeighborTable,
                                aggregate_reading, build_data_message, elect_leaders,
                                extract_clusters, handle_data_message, is_similar,
@@ -237,3 +240,34 @@ def test_extract_clusters_matches_bruteforce_oracle():
             seen.update(members)
         for members, leads in zip(snap.clusters, snap.leaders):
             assert set(leads) <= set(members)
+
+
+def _oracle_leaders(similar_sets, cluster):
+    counts = {m: len(similar_sets[m] & set(cluster)) for m in cluster}
+    top = max(counts.values())
+    return tuple(sorted(m for m, c in counts.items() if c == top))
+
+
+@st.composite
+def similarity_graphs(draw):
+    """Similar sets over ids 0..n+2 keyed by a subset of them, so that
+    edges can be one-sided and can point at ids missing from the mapping,
+    plus an excluded set that may also name ids outside the mapping."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    ids = range(n + 3)
+    keys = draw(st.sets(st.sampled_from(ids), max_size=n + 3))
+    sets = {k: draw(st.sets(st.sampled_from(ids).filter(lambda v, k=k: v != k)))
+            for k in keys}
+    excluded = draw(st.sets(st.sampled_from(ids), max_size=4))
+    return sets, excluded
+
+
+@settings(max_examples=300, deadline=None)
+@given(similarity_graphs())
+def test_extract_clusters_property_matches_bruteforce(graph):
+    sets, excluded = graph
+    snap = extract_clusters(sets, 7, excluded=excluded)
+    expected = _oracle_components(sets, excluded)
+    assert snap.round == 7
+    assert snap.clusters == expected
+    assert snap.leaders == [_oracle_leaders(sets, c) for c in expected]

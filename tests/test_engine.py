@@ -6,8 +6,8 @@ import random
 import pytest
 
 from fdisim.domain import NodeLabel
-from fdisim.engine import (ConfigError, EVENT_ATTACKER_DETECTED, EVENT_DM_SENT,
-                           EVENT_NODE_EXCLUDED, EVENT_SUSPECT_ADDED, ScenarioConfig,
+from fdisim.engine import (ConfigError, EVENT_ATTACKER_DETECTED, EVENT_DM_DISCARDED,
+                           EVENT_DM_SENT, EVENT_NODE_EXCLUDED, EVENT_SUSPECT_ADDED, ScenarioConfig,
                            compute_adjacency, place_nodes, run_scenario)
 
 from conftest import GOLDEN_BAD_NODE, GOLDEN_DETECTOR
@@ -217,3 +217,61 @@ def test_trace_dimension_mismatch(tmp_path, golden_scenario):
     from fdisim.sensing import TraceError
     with pytest.raises(TraceError, match="covers 6 nodes"):
         run_scenario(cfg)
+
+
+def _pairwise_adjacency(positions, radius):
+    """The pairwise loop: an edge iff dx*dx + dy*dy <= radius*radius."""
+    r2 = radius * radius
+    adj = [[] for _ in positions]
+    for i, (xi, yi) in enumerate(positions):
+        for j in range(i + 1, len(positions)):
+            dx = xi - positions[j][0]
+            dy = yi - positions[j][1]
+            if dx * dx + dy * dy <= r2:
+                adj[i].append(j)
+                adj[j].append(i)
+    return adj
+
+
+@pytest.mark.parametrize("block_cells", [64, 1 << 14])
+def test_adjacency_matches_pairwise_loop(block_cells, monkeypatch):
+    import fdisim.engine as engine
+    monkeypatch.setattr(engine, "_ADJACENCY_BLOCK_CELLS", block_cells)
+    rng = random.Random(8)
+    for n in (2, 3, 17, 90):
+        positions = [(rng.uniform(0, 200), rng.uniform(0, 200)) for _ in range(n)]
+        # grid points put pairs exactly on the radius
+        positions += [(10.0 * k, 0.0) for k in range(6)]
+        assert compute_adjacency(positions, 30.0) == _pairwise_adjacency(positions, 30.0)
+
+
+def test_conviction_by_sole_remaining_suspecter_completes():
+    """Seed 4208, round 1: 44 of attacker 39's 45 suspecters clear it and
+    node 98, last in id order, convicts it with nobody else suspecting."""
+    result = run_scenario(ScenarioConfig(seed=4208, n_rounds=2))
+    assert [(d.round, d.detector) for d in result.detections if d.attacker == 39] == [(1, 98)]
+
+
+def test_noisy_sensitive_conviction_completes():
+    cfg = ScenarioConfig(seed=807, n_rounds=30)
+    cfg.attack.attack_type = "sensitive"
+    cfg.sensing.noise_sigma = 1.5
+    result = run_scenario(cfg)
+    assert result.confusion.tp == result.ground_truth.attackers_inserted
+
+
+def test_overflowing_aggregates_are_discarded():
+    """Readings near the float maximum overflow the aggregates to inf from
+    round 2 on; from then every receiver discards every message and counts
+    no interaction."""
+    cfg = ScenarioConfig(n_nodes=30, n_rounds=6)
+    cfg.sensing.base_value = 1e308
+    cfg.sensing.spatial_gradient = 0.0
+    result = run_scenario(cfg)
+    positions = place_nodes(cfg, random.Random(f"{cfg.seed}/place"))
+    degree_sum = sum(len(neigh) for neigh in compute_adjacency(positions, cfg.tx_radius_m))
+    discarded = [e for e in result.events if e[1] == EVENT_DM_DISCARDED]
+    assert len(discarded) == 1800 == 4 * degree_sum
+    assert {e[0] for e in discarded} == {2, 3, 4, 5}
+    assert all(e[4] is None for e in discarded)
+    assert result.total_interactions == 2 * degree_sum

@@ -123,3 +123,13 @@ def test_field_config_validation():
     with pytest.raises(ValueError):
         FieldConfig(noise_sigma=-0.1).validate()
     FieldConfig().validate()
+
+
+def test_synth_field_matches_formula_bit_for_bit():
+    cfg = FieldConfig(base_value=16.0, drift_per_round=0.013, spatial_gradient=0.0071,
+                      noise_sigma=0.0)
+    positions = [(0.0, 0.0), (12.5, 199.9), (133.3, 71.7), (0.1, 0.2)]
+    field = SynthField(cfg, positions, 50, seed=3)
+    for node, pos in enumerate(positions):
+        for rnd in range(50):
+            assert field.reading(node, rnd) == synth_reading(pos, rnd, cfg)
