@@ -3,10 +3,10 @@ surveillance and consensus-based exclusion of false-data injectors."""
 
 from .attacks import AttackConfig, GroundTruth, churn_is_false_phase, forge_reading
 from .clustering import (ClusterConfig, ClusterSnapshot, NeighborRecord, NeighborTable,
-                         aggregate_reading, elect_leaders, extract_clusters, is_similar)
+                         elect_leaders, extract_clusters, is_similar)
 from .detection import (ClassifyOutcome, ConsensusRegion, DetectionConfig, classify_suspect,
                         region_sd)
-from .domain import (AlertMessage, DataMessage, NodeLabel, NodeRole, validate_alert_message,
+from .domain import (AlertMessage, DataMessage, NodeLabel, validate_alert_message,
                      validate_data_message)
 from .engine import (ConfigError, RunResult, ScenarioConfig, compute_adjacency, place_nodes,
                      run_scenario)

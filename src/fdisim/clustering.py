@@ -4,7 +4,7 @@ tables, leader election and per-round cluster extraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Set, Tuple
 
 from .domain import DataMessage, require_finite
 
@@ -31,17 +31,6 @@ class NeighborRecord:
     aggregate_reading: float
     neighbor_count: int
     last_seen_round: int
-
-
-def aggregate_reading(own: float, neighbors: Iterable[NeighborRecord]) -> float:
-    """Weighted mean of the node's own reading and its similar neighbors'
-    aggregates, each aggregate weighted by the reading count it carries."""
-    num = float(own)
-    den = 1.0
-    for rec in neighbors:
-        num += rec.aggregate_reading * rec.neighbor_count
-        den += rec.neighbor_count
-    return num / den
 
 
 def is_similar(candidate_ir: float, candidate_ar: float,
@@ -72,9 +61,6 @@ class NeighborTable:
 
     def aggregate(self, own_reading: float) -> float:
         return (own_reading + self._sum_aw) / (1.0 + self._sum_w)
-
-    def similar_records(self) -> List[NeighborRecord]:
-        return [self.records[i] for i in self.similar]
 
     def add_similar(self, sender: int) -> None:
         if sender not in self.similar:
@@ -138,21 +124,15 @@ def build_data_message(node_id: int, own_reading: float, table: NeighborTable) -
     )
 
 
-def prune_stale_neighbors(table: NeighborTable, rnd: int, cfg: ClusterConfig) -> NeighborTable:
-    """Evict every record not refreshed within the TTL window."""
-    ttl = cfg.neighbor_ttl_rounds
-    stale = [nid for nid, rec in table.records.items() if rnd - rec.last_seen_round > ttl]
-    for nid in stale:
-        table.remove(nid)
-    return table
-
-
 def prune_ids(table: NeighborTable, candidates: Iterable[int], rnd: int, cfg: ClusterConfig) -> None:
-    """TTL check restricted to the given ids.
+    """Evict the records among the given ids not refreshed within the TTL
+    window.
 
-    Equivalent to prune_stale_neighbors when ``candidates`` covers every
-    sender that stayed silent this round: records of senders heard this
-    round carry last_seen_round == rnd and can never be stale.
+    Every stale record is evicted when ``candidates`` covers every sender
+    that sent nothing this round or sent a message that was discarded: a
+    valid message sets last_seen_round to ``rnd`` in every record held of
+    its sender (receivers that blacklist it hold none), and such a record
+    cannot be stale.
     """
     ttl = cfg.neighbor_ttl_rounds
     for nid in candidates:
@@ -180,12 +160,6 @@ class ClusterSnapshot:
     round: int
     clusters: List[Tuple[int, ...]]
     leaders: List[Tuple[int, ...]]
-
-    def cluster_of(self, node_id: int) -> Optional[int]:
-        for idx, members in enumerate(self.clusters):
-            if node_id in members:
-                return idx
-        return None
 
     def all_leaders(self) -> Set[int]:
         out: Set[int] = set()

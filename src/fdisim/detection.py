@@ -85,7 +85,6 @@ def classify_suspect(region: ConsensusRegion, suspect_reading: float,
 @dataclass(slots=True)
 class SuspectEntry:
     first_flag_round: int
-    last_reading: float
 
 
 @dataclass(slots=True)
@@ -103,13 +102,6 @@ class SuspectOutcome(Enum):
     PENDING = "pending"
 
 
-def emit_alert(detector: int, attacker: int, reading: float) -> AlertMessage:
-    """Build the alert for a freshly classified attacker."""
-    if detector == attacker:
-        raise ValueError("a node cannot accuse itself")
-    return AlertMessage(detector=detector, attacker=attacker, attacker_reading=reading)
-
-
 def process_suspect(state, sender: int, reading: float, similar_verdict: bool,
                     region_provider: Callable[[], ConsensusRegion],
                     cfg: DetectionConfig, rnd: int,
@@ -123,21 +115,21 @@ def process_suspect(state, sender: int, reading: float, similar_verdict: bool,
     similar, unsuspected sender changes nothing.
     """
     suspects: Dict[int, SuspectEntry] = state.suspects
-    entry = suspects.get(sender)
-    if entry is not None:
-        entry.last_reading = reading
+    if sender in suspects:
         result = classify_suspect(region_provider(), reading, cfg)
         if result.outcome is ClassifyOutcome.ATTACKER:
             del suspects[sender]
             state.blacklist[sender] = BlacklistEntry(rnd, state.node_id, reading)
             state.table.remove(sender)
-            return SuspectOutcome.DETECTED, emit_alert(state.node_id, sender, reading), result
+            return (SuspectOutcome.DETECTED,
+                    AlertMessage(detector=state.node_id, attacker=sender, attacker_reading=reading),
+                    result)
         if result.outcome is ClassifyOutcome.HONEST:
             del suspects[sender]
             return SuspectOutcome.CLEARED, None, result
         return SuspectOutcome.PENDING, None, result
     if not similar_verdict:
-        suspects[sender] = SuspectEntry(rnd, reading)
+        suspects[sender] = SuspectEntry(rnd)
         return SuspectOutcome.ADDED, None, None
     return SuspectOutcome.NO_CHANGE, None, None
 
@@ -158,10 +150,6 @@ def handle_alert(state, am: AlertMessage, is_leader: bool, rnd: int) -> bool:
     state.table.remove(am.attacker)
     state.suspects.pop(am.attacker, None)
     return is_leader
-
-
-def is_blacklisted(state, node_id: int) -> bool:
-    return node_id in state.blacklist
 
 
 def build_consensus_region(state, own_reading: float, cap: int) -> ConsensusRegion:

@@ -1,13 +1,10 @@
-"""Core value types shared by every layer: wire records, labels and roles."""
+"""Core value types shared by every layer: wire records and labels."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-DATA_KIND = "DM"
-ALERT_KIND = "AM"
 
 
 def is_finite_reading(value) -> bool:
@@ -32,7 +29,6 @@ class DataMessage:
     individual_reading: float
     aggregate_reading: float
     neighbor_count: int
-    kind: str = DATA_KIND
 
 
 @dataclass(frozen=True)
@@ -42,17 +38,14 @@ class AlertMessage:
     detector: int
     attacker: int
     attacker_reading: float
-    kind: str = ALERT_KIND
 
 
 def validate_data_message(msg: DataMessage) -> bool:
     """True to accept, False to discard.
 
-    Any missing or non-finite field discards the whole message; unknown
-    message kinds are discarded as well. Pure: no side effects.
+    Any missing or non-finite field discards the whole message. Pure: no
+    side effects.
     """
-    if msg.kind != DATA_KIND:
-        return False
     if not isinstance(msg.sender, int) or isinstance(msg.sender, bool) or msg.sender < 0:
         return False
     if not is_finite_reading(msg.individual_reading):
@@ -68,8 +61,6 @@ def validate_data_message(msg: DataMessage) -> bool:
 
 def validate_alert_message(msg: AlertMessage) -> bool:
     """True to accept. Incomplete alerts and self-accusations are discarded."""
-    if msg.kind != ALERT_KIND:
-        return False
     for nid in (msg.detector, msg.attacker):
         if not isinstance(nid, int) or isinstance(nid, bool) or nid < 0:
             return False
@@ -106,9 +97,3 @@ def transition_label(current: NodeLabel, target: NodeLabel) -> NodeLabel:
     if (current, target) not in _LABEL_ARCS:
         raise ValueError(f"illegal label transition {current.value} -> {target.value}")
     return target
-
-
-class NodeRole(Enum):
-    COMMON = "common"
-    LEADER = "leader"
-    ISOLATED = "isolated"

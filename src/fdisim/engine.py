@@ -6,19 +6,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .attacks import AttackConfig, GroundTruth, attack_is_active, forge_reading, select_attackers
-# handle_data_message is not called here (phase 2 inlines it); the name stays
-# imported because the benchmark's tracing wraps it in this namespace by name
+# handle_data_message (phase 2 inlines it) and transition_label are not
+# called here; the names stay imported because the benchmark's tracing wraps
+# them in this namespace by name
 from .clustering import (ClusterConfig, ClusterSnapshot, NeighborRecord, NeighborTable,
                          build_data_message, extract_clusters, handle_data_message, prune_ids)
 from .detection import (BlacklistEntry, DetectionConfig, SuspectEntry,
                         SuspectOutcome, build_consensus_region, handle_alert, process_suspect)
-from .domain import (AlertMessage, DataMessage, NodeLabel, NodeRole, require_finite,
-                     transition_label, validate_data_message)
+from .domain import (AlertMessage, DataMessage, require_finite, transition_label,
+                     validate_data_message)
 from .metrics import (ConfusionCounts, MetricsReport, build_report, cluster_availability,
                       compute_confusion)
 from .sensing import FieldConfig, SynthField, TraceError, load_trace
@@ -84,17 +85,15 @@ class ScenarioConfig:
 class NodeState:
     """One node's protocol state."""
 
-    __slots__ = ("node_id", "table", "suspects", "blacklist", "role", "label",
-                 "known_leaders", "current_reading")
+    __slots__ = ("node_id", "table", "suspects", "blacklist", "known_leaders",
+                 "current_reading")
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self.table = NeighborTable()
         self.suspects: Dict[int, SuspectEntry] = {}
         self.blacklist: Dict[int, BlacklistEntry] = {}
-        self.role = NodeRole.ISOLATED
-        self.label = NodeLabel.HONEST
-        self.known_leaders: Set[int] = set()
+        self.known_leaders: AbstractSet[int] = frozenset()
         self.current_reading = 0.0
 
 
@@ -163,11 +162,10 @@ def compute_adjacency(positions: Sequence[Tuple[float, float]],
 class WorldState:
     """Everything one run mutates, round by round."""
 
-    def __init__(self, cfg: ScenarioConfig, positions, adjacency, ground_truth: GroundTruth,
+    def __init__(self, cfg: ScenarioConfig, adjacency, ground_truth: GroundTruth,
                  source, crashed: Set[int]) -> None:
         n = cfg.n_nodes
         self.cfg = cfg
-        self.positions = positions
         self.adjacency = adjacency
         self.adjacency_sets = [set(neigh) for neigh in adjacency]
         self.ground_truth = ground_truth
@@ -179,7 +177,6 @@ class WorldState:
         self.excluded: Set[int] = set()
         self.blacklisted_union: Set[int] = set()
         self.global_leaders: Set[int] = set()
-        self.suspect_refcount: Dict[int, int] = {}
         # per target: adjacent nodes currently blacklisting it (global
         # exclusion trips when this covers the whole neighborhood)
         self.blacklister_count: Dict[int, int] = {}
@@ -201,27 +198,6 @@ class WorldState:
     def node_is_dead(self, node_id: int) -> bool:
         return node_id in self.crashed and self.round >= self.cfg.crash_round
 
-    # -- label bookkeeping -------------------------------------------------
-
-    def _mark_suspicious(self, node_id: int) -> None:
-        self.suspect_refcount[node_id] = self.suspect_refcount.get(node_id, 0) + 1
-        st = self.states[node_id]
-        if st.label is NodeLabel.HONEST:
-            st.label = transition_label(st.label, NodeLabel.SUSPICIOUS)
-
-    def _unmark_suspicious(self, node_id: int) -> None:
-        self.suspect_refcount[node_id] = self.suspect_refcount.get(node_id, 1) - 1
-        st = self.states[node_id]
-        if self.suspect_refcount[node_id] <= 0 and st.label is NodeLabel.SUSPICIOUS:
-            st.label = transition_label(st.label, NodeLabel.HONEST)
-
-    def _mark_attacker(self, node_id: int) -> None:
-        st = self.states[node_id]
-        if st.label is not NodeLabel.ATTACKER:
-            st.label = transition_label(st.label, NodeLabel.ATTACKER)
-
-    # -- blacklist bookkeeping ----------------------------------------------
-
     def _note_blacklisted(self, observer: int, target: int) -> None:
         self.blacklisted_union.add(target)
         if observer in self.adjacency_sets[target]:
@@ -230,16 +206,17 @@ class WorldState:
 
 
 def _deliver_alert(world: WorldState, receiver: int, am: AlertMessage, rnd: int) -> bool:
-    """Apply one alert at one node; returns True when it must be flooded."""
+    """Apply one alert at one node; returns True when it must be flooded.
+
+    A crashed node takes no alert: the leader lists come from the previous
+    round's snapshot and can still name it in its crash round.
+    """
     st = world.states[receiver]
-    if am.attacker in st.blacklist:
+    if am.attacker in st.blacklist or world.node_is_dead(receiver):
         return False
-    had_suspect = am.attacker in st.suspects
     forward = handle_alert(st, am, receiver in world.global_leaders, rnd)
     if am.attacker not in st.blacklist:
         return False  # alert failed validation; nothing applied
-    if had_suspect:
-        world._unmark_suspicious(am.attacker)
     world._note_blacklisted(receiver, am.attacker)
     return forward
 
@@ -249,7 +226,8 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
     live receiver takes in its neighbors' messages in adjacency order.
 
     Returns the alerts raised by this round's convictions and the ids of the
-    nodes that sent nothing.
+    nodes whose message no receiver took in: those that sent nothing and
+    those whose message was discarded.
     """
     rnd = world.round
     states = world.states
@@ -349,16 +327,10 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
             sum_w = table._sum_w
             if outcome is SuspectOutcome.ADDED:
                 events.append((rnd, EVENT_SUSPECT_ADDED, i, j, x))
-                world._mark_suspicious(j)
             elif outcome is SuspectOutcome.CLEARED:
                 events.append((rnd, EVENT_SUSPECT_CLEARED, i, j, x))
-                world._unmark_suspicious(j)
             elif outcome is SuspectOutcome.DETECTED:
                 events.append((rnd, EVENT_ATTACKER_DETECTED, i, j, x))
-                # attacker first: unmarking may drop the count to 0 and
-                # would otherwise make the label honest before conviction
-                world._mark_attacker(j)
-                world._unmark_suspicious(j)
                 world._note_blacklisted(i, j)
                 world.detections.append(DetectionRecord(
                     rnd, i, j, x, res.region_sd, res.combined_sd))
@@ -367,7 +339,7 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
         table._sum_aw = sum_aw
         table._sum_w = sum_w
     world.total_interactions += interactions
-    return fresh_alerts, [j for j in range(n) if readings[j] is None]
+    return fresh_alerts, [j for j in range(n) if not valid[j]]
 
 
 def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
@@ -376,7 +348,7 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
     events = world.events
     n = cfg.n_nodes
 
-    fresh_alerts, silent = _exchange(world, cfg)
+    fresh_alerts, unheard = _exchange(world, cfg)
 
     # phase 3: alert delivery; scheduled floods first, then fresh detections
     if world.pending_alerts:
@@ -414,12 +386,12 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
                 events.append((rnd, EVENT_NODE_EXCLUDED, target, None, None))
         world._bl_touched.clear()
 
-    # phase 4: TTL maintenance; only silent senders can have gone stale
-    if silent:
+    # phase 4: TTL maintenance; only unheard senders can have gone stale
+    if unheard:
         for i in range(n):
             if i in world.excluded or world.node_is_dead(i):
                 continue
-            prune_ids(states[i].table, silent, rnd, cfg.cluster)
+            prune_ids(states[i].table, unheard, rnd, cfg.cluster)
 
     # phase 5: election and snapshot over globally non-blacklisted nodes;
     # dead nodes hold frozen state and cannot be cluster participants
@@ -430,20 +402,14 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
     snapshot = extract_clusters(similar_sets, rnd, excluded=snapshot_excluded)
     world.snapshots.append(snapshot)
     world.blacklisted_counts.append(len(world.blacklisted_union))
-    clustered: Set[int] = set()
     world.global_leaders = set()
+    for st in states:
+        st.known_leaders = frozenset()
     for members, leads in zip(snapshot.clusters, snapshot.leaders):
         lead_set = set(leads)
         world.global_leaders.update(lead_set)
         for m in members:
-            clustered.add(m)
-            st = states[m]
-            st.known_leaders = lead_set
-            st.role = NodeRole.LEADER if m in lead_set else NodeRole.COMMON
-    for i in range(n):
-        if i not in clustered:
-            states[i].role = NodeRole.ISOLATED
-            states[i].known_leaders = set()
+            states[m].known_leaders = lead_set
 
     world.round += 1
 
@@ -476,7 +442,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         if count:
             crashed = set(crash_rng.sample(range(cfg.n_nodes), count))
 
-    world = WorldState(cfg, positions, adjacency, ground_truth, source, crashed)
+    world = WorldState(cfg, adjacency, ground_truth, source, crashed)
     for _ in range(cfg.n_rounds):
         run_round(world, cfg)
 

@@ -81,14 +81,6 @@ class TraceTable:
     def reading(self, node_id: int, rnd: int) -> float:
         return float(self._values[rnd, node_id])
 
-    def rows(self):
-        for r in range(self.n_rounds):
-            for n in range(self.n_nodes):
-                yield r, n, float(self._values[r, n])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TraceTable) and np.array_equal(self._values, other._values)
-
 
 def load_trace(path: str) -> TraceTable:
     """Parse a trace CSV (header ``round,node_id,value``) into a dense table.
@@ -142,12 +134,3 @@ def load_trace(path: str) -> TraceTable:
                 raise TraceError(f"trace format error: missing pair (round {r}, node {n})")
             values[r, n] = entries[(r, n)]
     return TraceTable(values)
-
-
-def dump_trace(table: TraceTable, path: str) -> None:
-    """Serialize a table back to the trace CSV format."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for rnd, node, value in table.rows():
-            writer.writerow([rnd, node, repr(value)])

@@ -1,4 +1,5 @@
-"""Shared fixtures: the hand-built six-node corrupted-reading world."""
+"""Shared fixtures: the hand-built six-node corrupted-reading world, a
+neighbor table built from records and a run that keeps its world state."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import csv
 
 import pytest
 
+import fdisim.engine as engine
+from fdisim.clustering import NeighborTable
 from fdisim.engine import ScenarioConfig
 
 # node 2 broadcasts a wildly off reading every round; the others span 14..18
@@ -36,3 +39,30 @@ def golden_config(trace_path) -> ScenarioConfig:
 def golden_scenario(tmp_path):
     trace = write_golden_trace(tmp_path / "trace.csv")
     return golden_config(trace)
+
+
+def similar_table(neighbors) -> NeighborTable:
+    """A table holding every given record in its similar set."""
+    table = NeighborTable()
+    for nid, record in enumerate(neighbors):
+        table.records[nid] = record
+        table.add_similar(nid)
+    return table
+
+
+def run_recorded(cfg, monkeypatch, **replacements):
+    """Run cfg with the given ``fdisim.engine`` names replaced; returns the
+    result and the run's final world state."""
+    worlds = []
+
+    class RecordedWorld(engine.WorldState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            worlds.append(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine, "WorldState", RecordedWorld)
+        for name, value in replacements.items():
+            m.setattr(engine, name, value)
+        result = engine.run_scenario(cfg)
+    return result, worlds[0]

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from fdisim.attacks import AttackConfig, churn_is_false_phase
-from fdisim.clustering import NeighborRecord, aggregate_reading
+from fdisim.clustering import NeighborRecord
 from fdisim.detection import (ClassifyOutcome, ConsensusRegion, DetectionConfig,
                               classify_suspect, region_sd)
 from fdisim.domain import NodeLabel, transition_label
@@ -22,7 +22,7 @@ from fdisim.engine import (EVENT_ATTACKER_DETECTED, EVENT_DM_SENT, EVENT_NODE_EX
 from fdisim.metrics import ConfusionCounts, detection_rate, fnr, precision_recall_f1
 from fdisim.cli import run_sweep
 
-from conftest import GOLDEN_BAD_NODE, GOLDEN_DETECTOR
+from conftest import GOLDEN_BAD_NODE, GOLDEN_DETECTOR, similar_table
 
 SWEEP_RUNS = 35
 JOBS = max(1, os.cpu_count() or 1)
@@ -69,7 +69,7 @@ def test_criterion_1_golden_aggregation_arithmetic():
         (24, nbrs(21), 45 / 2),
     ]
     start = time.perf_counter()
-    worst = max(abs(aggregate_reading(own, neighbors) - expected)
+    worst = max(abs(similar_table(neighbors).aggregate(own) - expected)
                 for own, neighbors, expected in cases)
     elapsed = time.perf_counter() - start
     _verdict("criterion 1: golden aggregation arithmetic", worst < 1e-9,
@@ -226,7 +226,7 @@ def test_criterion_6_property_suites():
                                         rng.randint(0, 6), 0)
                          for _ in range(rng.randint(0, 8))]
             values = [own] + [nb.aggregate_reading for nb in neighbors]
-            out = aggregate_reading(own, neighbors)
+            out = similar_table(neighbors).aggregate(own)
             assert min(values) - 1e-9 <= out <= max(values) + 1e-9
 
     def churn_periodicity():

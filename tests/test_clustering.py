@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdisim.clustering import (ClusterConfig, NeighborRecord, NeighborTable,
-                               aggregate_reading, build_data_message, elect_leaders,
-                               extract_clusters, handle_data_message, is_similar,
-                               prune_ids, prune_stale_neighbors)
+                               build_data_message, elect_leaders, extract_clusters,
+                               handle_data_message, is_similar, prune_ids)
 from fdisim.domain import DataMessage
+
+from conftest import similar_table
 
 
 def rec(ar, nr, ir=None, seen=0):
@@ -17,15 +18,26 @@ def rec(ar, nr, ir=None, seen=0):
                           aggregate_reading=ar, neighbor_count=nr, last_seen_round=seen)
 
 
+def direct_aggregate(own, neighbors):
+    """Weighted mean of the own reading and the neighbors' aggregates, each
+    weighted by its count, summed from scratch."""
+    num = float(own)
+    den = 1.0
+    for record in neighbors:
+        num += record.aggregate_reading * record.neighbor_count
+        den += record.neighbor_count
+    return num / den
+
+
 def test_aggregate_worked_examples():
-    assert abs(aggregate_reading(16, [rec(15, 1), rec(18, 1)]) - 49 / 3) < 1e-9
-    assert aggregate_reading(15, [rec(16, 1)]) == 15.5
-    assert aggregate_reading(42, []) == 42
+    assert abs(similar_table([rec(15, 1), rec(18, 1)]).aggregate(16) - 49 / 3) < 1e-9
+    assert similar_table([rec(16, 1)]).aggregate(15) == 15.5
+    assert NeighborTable().aggregate(42) == 42
 
 
 def test_aggregate_empty_is_identity():
     for own in (-3.5, 0.0, 16.0, 1e6):
-        assert aggregate_reading(own, []) == own
+        assert NeighborTable().aggregate(own) == own
 
 
 def test_aggregate_weighted_mean_bounds():
@@ -36,7 +48,7 @@ def test_aggregate_weighted_mean_bounds():
         neighbors = [rec(rng.uniform(-100, 100), rng.randint(0, 5))
                      for _ in range(rng.randint(0, 8))]
         values = [own] + [n.aggregate_reading for n in neighbors]
-        out = aggregate_reading(own, neighbors)
+        out = similar_table(neighbors).aggregate(own)
         assert min(values) - 1e-9 <= out <= max(values) + 1e-9
 
 
@@ -100,7 +112,7 @@ def test_incremental_aggregate_matches_direct_form():
         reading = rng.uniform(10, 22)
         handle_data_message(table, DataMessage(sender, reading, rng.uniform(10, 22),
                                                rng.randint(0, 4)), own, cfg, step)
-        direct = aggregate_reading(own, table.similar_records())
+        direct = direct_aggregate(own, [table.records[i] for i in table.similar])
         assert abs(table.aggregate(own) - direct) < 1e-9
 
 
@@ -141,33 +153,31 @@ def test_prune_stale_neighbors():
     table = NeighborTable()
     handle_data_message(table, DataMessage(1, 16.0, 16.0, 0), 16.0, cfg, 3)
     handle_data_message(table, DataMessage(2, 16.0, 16.0, 0), 16.0, cfg, 10)
-    prune_stale_neighbors(table, 10, cfg)
+    prune_ids(table, [1, 2], 10, cfg)
     assert 1 not in table.records and 1 not in table.similar
     assert 2 in table.records
 
 
 def test_prune_empty_table():
     table = NeighborTable()
-    prune_stale_neighbors(table, 5, ClusterConfig())
+    prune_ids(table, range(5), 5, ClusterConfig())
     assert not table.records
 
 
 def test_prune_ids_matches_full_scan():
+    """Given every id, prune_ids keeps exactly the records a full scan of
+    the table finds within the TTL; ids it does not hold change nothing."""
     cfg = ClusterConfig(neighbor_ttl_rounds=3)
     rng = random.Random(11)
-    full = NeighborTable()
-    targeted = NeighborTable()
-    for table in (full, targeted):
-        for sender in range(10):
-            handle_data_message(table, DataMessage(sender, 16.0, 16.0, 0), 16.0, cfg,
-                                rng.randint(0, 6) if table is full else 0)
-    # same seen-rounds in both tables
+    table = NeighborTable()
     for sender in range(10):
-        targeted.records[sender].last_seen_round = full.records[sender].last_seen_round
-    prune_stale_neighbors(full, 8, cfg)
-    prune_ids(targeted, range(10), 8, cfg)
-    assert full.records.keys() == targeted.records.keys()
-    assert full.similar == targeted.similar
+        handle_data_message(table, DataMessage(sender, 16.0, 16.0, 0), 16.0, cfg,
+                            rng.randint(0, 6))
+    fresh = {nid for nid, record in table.records.items() if 8 - record.last_seen_round <= 3}
+    assert 0 < len(fresh) < 10
+    prune_ids(table, range(20), 8, cfg)
+    assert table.records.keys() == fresh
+    assert table.similar == fresh
 
 
 def _oracle_components(similar_sets, excluded):
@@ -204,7 +214,7 @@ def test_extract_clusters_two_groups():
     sets = {0: {1}, 1: {0}, 2: {3, 4}, 3: {2, 4}, 4: {2, 3}, 5: set()}
     snap = extract_clusters(sets, 1)
     assert snap.clusters == [(0, 1), (2, 3, 4)]
-    assert snap.cluster_of(5) is None
+    assert all(5 not in members for members in snap.clusters)
 
 
 def test_extract_clusters_requires_mutual_edges():

@@ -7,8 +7,8 @@ import pytest
 
 from fdisim.detection import (BlacklistEntry, ClassifyOutcome, ConsensusRegion,
                               DetectionConfig, build_consensus_region, classify_suspect,
-                              emit_alert, handle_alert, is_blacklisted, process_suspect,
-                              region_sd, SuspectEntry, SuspectOutcome)
+                              handle_alert, process_suspect, region_sd, SuspectEntry,
+                              SuspectOutcome)
 from fdisim.clustering import ClusterConfig, handle_data_message
 from fdisim.domain import AlertMessage, DataMessage
 from fdisim.engine import NodeState
@@ -157,7 +157,7 @@ def test_process_suspect_add_then_detect():
 def test_process_suspect_cleared_when_back_in_consensus():
     dcfg = DetectionConfig(consensus_threshold=5.0)
     st = _node_with_similar(0, 16.0, [14.0, 15.0, 17.0, 18.0])
-    st.suspects[9] = SuspectEntry(first_flag_round=0, last_reading=45.0)
+    st.suspects[9] = SuspectEntry(first_flag_round=0)
     provider = lambda: build_consensus_region(st, 16.0, dcfg.region_cap)
     outcome, am, res = process_suspect(st, 9, 22.0, False, provider, dcfg, 1)
     assert outcome is SuspectOutcome.CLEARED
@@ -167,7 +167,7 @@ def test_process_suspect_cleared_when_back_in_consensus():
 def test_process_suspect_pending_on_invalid_region():
     dcfg = DetectionConfig(consensus_threshold=5.0)
     st = _node_with_similar(0, 16.0, [])  # no similar neighbors at all
-    st.suspects[9] = SuspectEntry(first_flag_round=0, last_reading=45.0)
+    st.suspects[9] = SuspectEntry(first_flag_round=0)
     provider = lambda: build_consensus_region(st, 16.0, dcfg.region_cap)
     outcome, am, res = process_suspect(st, 9, 45.0, False, provider, dcfg, 1)
     assert outcome is SuspectOutcome.PENDING
@@ -185,7 +185,7 @@ def test_process_suspect_similar_unsuspected_no_change():
 
 def test_build_consensus_region_caps_and_skips():
     st = _node_with_similar(0, 16.0, [14.0, 15.0, 15.5, 16.5, 17.0, 17.5, 18.0])
-    st.suspects[100] = SuspectEntry(0, 14.0)   # first similar neighbor is suspect
+    st.suspects[100] = SuspectEntry(0)   # first similar neighbor is suspect
     st.blacklist[101] = BlacklistEntry(0, 0, 15.0)
     st.table.remove(101)
     region = build_consensus_region(st, 16.0, cap=3)
@@ -193,21 +193,13 @@ def test_build_consensus_region_caps_and_skips():
     assert region.values == [16.0, 15.5, 16.5, 17.0]
 
 
-def test_emit_alert():
-    am = emit_alert(1, 7, 45.0)
-    assert am == AlertMessage(detector=1, attacker=7, attacker_reading=45.0)
-    assert emit_alert(1, 7, 45.0) == am  # stateless
-    with pytest.raises(ValueError):
-        emit_alert(5, 5, 45.0)
-
-
 def test_handle_alert_new_entry_and_forwarding():
     st = _node_with_similar(4, 16.0, [15.0])
     victim = 100  # present in the similar set from the helper
-    st.suspects[victim] = SuspectEntry(0, 15.0)
+    st.suspects[victim] = SuspectEntry(0)
     am = AlertMessage(detector=1, attacker=victim, attacker_reading=45.0)
     assert handle_alert(st, am, is_leader=True, rnd=3) is True
-    assert is_blacklisted(st, victim)
+    assert victim in st.blacklist
     assert victim not in st.table.records and victim not in st.table.similar
     assert victim not in st.suspects
 
@@ -225,7 +217,7 @@ def test_handle_alert_common_node_does_not_forward():
     st = NodeState(4)
     am = AlertMessage(detector=1, attacker=9, attacker_reading=45.0)
     assert handle_alert(st, am, is_leader=False, rnd=3) is False
-    assert is_blacklisted(st, 9)
+    assert 9 in st.blacklist
 
 
 def test_handle_alert_rejects_invalid():
@@ -233,9 +225,3 @@ def test_handle_alert_rejects_invalid():
     bad = AlertMessage(detector=9, attacker=9, attacker_reading=45.0)
     assert handle_alert(st, bad, is_leader=True, rnd=0) is False
     assert not st.blacklist
-
-
-def test_is_blacklisted_fresh_and_unknown():
-    st = NodeState(0)
-    assert not is_blacklisted(st, 3)
-    assert not is_blacklisted(st, 424242)

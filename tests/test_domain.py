@@ -42,12 +42,6 @@ def test_missing_sender_and_negative_count_discarded():
                     neighbor_count=-1))
 
 
-def test_unknown_kind_discarded():
-    msg = DataMessage(sender=3, individual_reading=16.0, aggregate_reading=15.5,
-                      neighbor_count=2, kind="XX")
-    assert not validate_data_message(msg)
-
-
 def test_validation_is_pure():
     msg = DataMessage(sender=1, individual_reading=2.0, aggregate_reading=3.0,
                       neighbor_count=0)
@@ -66,11 +60,6 @@ def test_self_accusation_discarded():
 def test_alert_missing_reading_discarded():
     assert not validate_alert_message(AlertMessage(detector=2, attacker=7,
                                                    attacker_reading=None))
-
-
-def test_alert_unknown_kind_discarded():
-    assert not validate_alert_message(AlertMessage(detector=2, attacker=7,
-                                                   attacker_reading=45.0, kind="DM"))
 
 
 LEGAL = {

@@ -1,16 +1,22 @@
 """World mechanics: placement, adjacency, round flow, alerts, determinism."""
 
+import copy
+import dataclasses
 import math
 import random
 
 import pytest
 
-from fdisim.domain import NodeLabel
-from fdisim.engine import (ConfigError, EVENT_ATTACKER_DETECTED, EVENT_DM_DISCARDED,
-                           EVENT_DM_SENT, EVENT_NODE_EXCLUDED, EVENT_SUSPECT_ADDED, ScenarioConfig,
+import fdisim.engine as engine
+from fdisim.attacks import AttackConfig
+from fdisim.engine import (ConfigError, EVENT_ALERT_FORWARDED, EVENT_ATTACKER_DETECTED,
+                           EVENT_DM_DISCARDED, EVENT_DM_SENT, EVENT_NODE_EXCLUDED,
+                           EVENT_SUSPECT_ADDED, EVENT_SUSPECT_CLEARED, ScenarioConfig,
                            compute_adjacency, place_nodes, run_scenario)
+from fdisim.sensing import FieldConfig
 
-from conftest import GOLDEN_BAD_NODE, GOLDEN_DETECTOR
+from conftest import (GOLDEN_BAD_NODE, GOLDEN_DETECTOR, golden_config, run_recorded,
+                      write_golden_trace)
 
 
 def small_cfg(**kw):
@@ -203,12 +209,35 @@ def test_golden_scenario_detection_sequence(golden_scenario):
             assert snap.clusters == [honest]
 
 
-def test_golden_scenario_labels(golden_scenario):
-    result = run_scenario(golden_scenario)
-    # the corrupted node walked honest -> suspicious -> attacker; the run
-    # itself validates every arc, so reaching here means no illegal move
-    assert result.confusion.fp == 1  # ground truth called it honest
-    assert NodeLabel  # label machinery exercised by the run
+CONVICTION_CASES = {
+    "golden": lambda tmp: golden_config(write_golden_trace(tmp / "trace.csv")),
+    "fdi": lambda _: ScenarioConfig(n_nodes=40, n_rounds=60, seed=3),
+    "churn": lambda _: ScenarioConfig(n_nodes=40, n_rounds=60, seed=2,
+                                      attack=AttackConfig(attack_type="churn")),
+    "sensitive": lambda _: ScenarioConfig(n_nodes=40, n_rounds=60, seed=1,
+                                          attack=AttackConfig(attack_type="sensitive"),
+                                          sensing=FieldConfig(noise_sigma=1.5)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONVICTION_CASES))
+def test_convictions_follow_open_suspicion(case, tmp_path):
+    """Every attacker_detected (i, j) comes after a suspect_added (i, j)
+    with no suspect_cleared (i, j) in between: a node convicts only a
+    sender it currently suspects."""
+    result = run_scenario(CONVICTION_CASES[case](tmp_path))
+    open_pairs = set()
+    convictions = 0
+    for rnd, kind, node, subject, _ in result.events:
+        pair = (node, subject)
+        if kind == EVENT_SUSPECT_ADDED:
+            assert pair not in open_pairs, (rnd, kind, pair)
+            open_pairs.add(pair)
+        elif kind in (EVENT_SUSPECT_CLEARED, EVENT_ATTACKER_DETECTED):
+            assert pair in open_pairs, (rnd, kind, pair)
+            open_pairs.discard(pair)
+            convictions += kind == EVENT_ATTACKER_DETECTED
+    assert convictions == len(result.detections) > 0
 
 
 def test_trace_dimension_mismatch(tmp_path, golden_scenario):
@@ -275,3 +304,79 @@ def test_overflowing_aggregates_are_discarded():
     assert {e[0] for e in discarded} == {2, 3, 4, 5}
     assert all(e[4] is None for e in discarded)
     assert result.total_interactions == 2 * degree_sum
+
+
+def test_discarded_senders_are_pruned_within_ttl(monkeypatch):
+    """Every message is discarded from round 2 on (the aggregates overflow),
+    so no record is refreshed; after every round no live node holds a
+    record older than the TTL."""
+    cfg = ScenarioConfig(n_nodes=30, n_rounds=10)
+    cfg.sensing.base_value = 1e308
+    cfg.sensing.spatial_gradient = 0.0
+    ttl = cfg.cluster.neighbor_ttl_rounds
+    stale = []
+    run_round = engine.run_round
+
+    def checked_round(world, cfg):
+        run_round(world, cfg)
+        rnd = world.round - 1
+        for i, st in enumerate(world.states):
+            if i in world.excluded:
+                continue
+            stale.extend((rnd, i, j) for j, rec in st.table.records.items()
+                         if rnd - rec.last_seen_round > ttl)
+
+    result, _ = run_recorded(cfg, monkeypatch, run_round=checked_round)
+    assert any(e[1] == EVENT_DM_DISCARDED for e in result.events)
+    assert stale == []
+
+
+def test_crashed_leaders_take_no_alerts(monkeypatch):
+    """Leader lists come from the previous round's snapshot, so in the crash
+    round they still name crashed leaders; those take and forward nothing."""
+    cfg = ScenarioConfig(n_nodes=60, n_rounds=20, seed=2, crash_fraction=0.3, crash_round=1)
+    result, world = run_recorded(cfg, monkeypatch)
+    crashed = world.crashed
+    assert len(crashed) == 18
+    forwarded = [e for e in result.events if e[1] == EVENT_ALERT_FORWARDED]
+    assert forwarded
+    assert [e for e in forwarded if e[0] >= cfg.crash_round and e[2] in crashed] == []
+    assert all(entry.detected_round < cfg.crash_round
+               for node in crashed for entry in result.node_blacklists[node].values())
+
+
+def _doubled(cfg):
+    """cfg with every parameter measured in reading units doubled."""
+    out = copy.deepcopy(cfg)
+    for part, names in ((out.sensing, ("base_value", "drift_per_round", "spatial_gradient",
+                                       "noise_sigma")),
+                        (out.cluster, ("cthresh",)),
+                        (out.detection, ("consensus_threshold",)),
+                        (out.attack, ("fdi_offset_min", "fdi_offset_max", "sensitive_margin"))):
+        for name in names:
+            setattr(part, name, 2 * getattr(part, name))
+    return out
+
+
+@pytest.mark.parametrize("attack", ["fdi", "churn", "sensitive"])
+def test_doubling_reading_units_doubles_every_reading(attack):
+    """Doubling is exact in IEEE arithmetic, and so are the sums, means and
+    square roots of doubled values, so every comparison the protocol makes
+    comes out the same: the runs differ only in doubled reading values."""
+    cfg = ScenarioConfig(n_nodes=40, n_rounds=120, seed=1,
+                         attack=AttackConfig(attack_type=attack))
+    cfg.sensing.drift_per_round = 0.01
+    if attack == "sensitive":
+        cfg.sensing.noise_sigma = 1.5
+    base = run_scenario(cfg)
+    twice = run_scenario(_doubled(cfg))
+    assert base.detections
+    assert twice.events == [(rnd, kind, node, subject, None if value is None else 2 * value)
+                            for rnd, kind, node, subject, value in base.events]
+    assert twice.detections == [
+        dataclasses.replace(d, reading=2 * d.reading, region_sd=2 * d.region_sd,
+                            combined_sd=2 * d.combined_sd) for d in base.detections]
+    assert twice.snapshots == base.snapshots
+    assert twice.availability == base.availability
+    assert twice.blacklisted_counts == base.blacklisted_counts
+    assert twice.confusion == base.confusion

@@ -10,7 +10,6 @@ from typing import List, Optional
 
 import pytest
 
-import fdisim.engine as engine
 from fdisim.attacks import AttackConfig, attack_is_active, forge_reading
 from fdisim.clustering import build_data_message, handle_data_message
 from fdisim.detection import (DetectionConfig, SuspectOutcome, build_consensus_region,
@@ -18,10 +17,10 @@ from fdisim.detection import (DetectionConfig, SuspectOutcome, build_consensus_r
 from fdisim.domain import AlertMessage, DataMessage, validate_data_message
 from fdisim.engine import (EVENT_ATTACKER_DETECTED, EVENT_DM_DISCARDED, EVENT_DM_SENT,
                            EVENT_NODE_EXCLUDED, EVENT_SUSPECT_ADDED, EVENT_SUSPECT_CLEARED,
-                           DetectionRecord, ScenarioConfig, run_scenario)
+                           DetectionRecord, ScenarioConfig)
 from fdisim.sensing import FieldConfig
 
-from conftest import golden_config, write_golden_trace
+from conftest import golden_config, run_recorded, write_golden_trace
 
 
 def reference_exchange(world, cfg):
@@ -77,19 +76,15 @@ def reference_exchange(world, cfg):
                 reading = dm.individual_reading
                 if outcome is SuspectOutcome.ADDED:
                     events.append((rnd, EVENT_SUSPECT_ADDED, i, j, reading))
-                    world._mark_suspicious(j)
                 elif outcome is SuspectOutcome.CLEARED:
                     events.append((rnd, EVENT_SUSPECT_CLEARED, i, j, reading))
-                    world._unmark_suspicious(j)
                 elif outcome is SuspectOutcome.DETECTED:
                     events.append((rnd, EVENT_ATTACKER_DETECTED, i, j, reading))
-                    world._mark_attacker(j)
-                    world._unmark_suspicious(j)
                     world._note_blacklisted(i, j)
                     world.detections.append(DetectionRecord(
                         rnd, i, j, reading, res.region_sd, res.combined_sd))
                     fresh_alerts.append(am)
-    return fresh_alerts, [j for j in range(n) if emissions[j] is None]
+    return fresh_alerts, [j for j in range(n) if not valid[j]]
 
 
 def _cfg(**kw):
@@ -124,22 +119,6 @@ CASES = {
 }
 
 
-def _run(cfg, exchange, monkeypatch):
-    """The run's result plus its final world state."""
-    worlds = []
-
-    class RecordedWorld(engine.WorldState):
-        def __init__(self, *args):
-            super().__init__(*args)
-            worlds.append(self)
-
-    with monkeypatch.context() as m:
-        m.setattr(engine, "WorldState", RecordedWorld)
-        m.setattr(engine, "_exchange", exchange)
-        result = run_scenario(cfg)
-    return result, worlds[0]
-
-
 def _node_state(world):
     # repr keeps record order and compares nan and inf sums exactly
     return [repr((st.table.records, sorted(st.table.similar), st.table._sum_aw,
@@ -150,8 +129,8 @@ def _node_state(world):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_flattened_round_matches_reference(case, tmp_path, monkeypatch):
     make_cfg, must_see = CASES[case]
-    flat, flat_world = _run(make_cfg(tmp_path), engine._exchange, monkeypatch)
-    ref, ref_world = _run(make_cfg(tmp_path), reference_exchange, monkeypatch)
+    flat, flat_world = run_recorded(make_cfg(tmp_path), monkeypatch)
+    ref, ref_world = run_recorded(make_cfg(tmp_path), monkeypatch, _exchange=reference_exchange)
     assert must_see in {e[1] for e in ref.events}
     assert flat.events == ref.events
     assert flat.snapshots == ref.snapshots

@@ -2,7 +2,7 @@
 
 import pytest
 
-from fdisim.sensing import (FieldConfig, SynthField, TraceError, dump_trace, load_trace,
+from fdisim.sensing import (FieldConfig, SynthField, TraceError, load_trace,
                             synth_reading)
 
 
@@ -110,13 +110,22 @@ def test_load_trace_duplicate_pair(tmp_path):
         load_trace(path)
 
 
+def _readings(table):
+    return [[table.reading(node, rnd) for node in range(table.n_nodes)]
+            for rnd in range(table.n_rounds)]
+
+
 def test_trace_round_trip(tmp_path):
     original = _write(tmp_path / "a.csv",
                       "round,node_id,value\n1,1,4.25\n0,0,1.5\n1,0,-3.5\n0,1,2.125\n")
     table = load_trace(original)
-    copy_path = tmp_path / "b.csv"
-    dump_trace(table, str(copy_path))
-    assert load_trace(str(copy_path)) == table
+    assert _readings(table) == [[1.5, 2.125], [-3.5, 4.25]]
+    # written back in round-major order with repr, every value survives
+    lines = ["round,node_id,value"] + [
+        f"{rnd},{node},{value!r}" for rnd, row in enumerate(_readings(table))
+        for node, value in enumerate(row)]
+    copy = _write(tmp_path / "b.csv", "\n".join(lines) + "\n")
+    assert _readings(load_trace(copy)) == _readings(table)
 
 
 def test_field_config_validation():
