@@ -4,9 +4,9 @@ collaborative filter, suspect bookkeeping, alerts and the blacklist."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .domain import AlertMessage, require_finite, validate_alert_message
 
@@ -37,17 +37,16 @@ def region_sd(values: Sequence[float]) -> float:
 @dataclass
 class ConsensusRegion:
     """The detector's own latest reading plus its sampled similar neighbors'
-    latest readings; the material the two-step filter works on."""
+    latest readings; the material the two-step filter works on. ``ids`` are
+    the neighbors whose readings follow the detector's own, and ``sd`` is
+    the region's own spread, taken once."""
 
     values: List[float]
+    ids: Tuple[int, ...] = ()
+    sd: float = field(init=False)
 
-    @property
-    def count(self) -> int:
-        return len(self.values)
-
-    @property
-    def mean(self) -> float:
-        return sum(self.values) / len(self.values)
+    def __post_init__(self) -> None:
+        self.sd = region_sd(self.values)
 
 
 class ClassifyOutcome(Enum):
@@ -73,8 +72,8 @@ def classify_suspect(region: ConsensusRegion, suspect_reading: float,
     re-evaluates the spread with the suspect's reading included; exceeding
     the threshold convicts, equality acquits.
     """
-    base_sd = region_sd(region.values)
-    if region.count < 2 or base_sd > cfg.consensus_threshold:
+    base_sd = region.sd
+    if len(region.values) < 2 or base_sd > cfg.consensus_threshold:
         return ClassifyResult(ClassifyOutcome.REGION_INVALID, base_sd, None)
     combined = region_sd(list(region.values) + [suspect_reading])
     if combined > cfg.consensus_threshold:
@@ -103,20 +102,21 @@ class SuspectOutcome(Enum):
 
 
 def process_suspect(state, sender: int, reading: float, similar_verdict: bool,
-                    region_provider: Callable[[], ConsensusRegion],
-                    cfg: DetectionConfig, rnd: int,
+                    region: Optional[ConsensusRegion], cfg: DetectionConfig, rnd: int,
                     ) -> Tuple[SuspectOutcome, Optional[AlertMessage], Optional[ClassifyResult]]:
     """Advance one suspect state machine step for a received reading.
 
     A sender already under suspicion is put through the consensus filter
-    with its newest reading: conviction moves it to the blacklist and emits
-    an alert, acquittal clears it, an invalid region leaves it pending. A
+    with its newest reading against ``region``, the detector's current
+    consensus region: conviction moves it to the blacklist and emits an
+    alert, acquittal clears it, an invalid region leaves it pending. A
     dissimilar sender not yet suspected is added to the suspect list. A
-    similar, unsuspected sender changes nothing.
+    similar, unsuspected sender changes nothing. ``region`` is read only for
+    a sender already suspected and may be None otherwise.
     """
     suspects: Dict[int, SuspectEntry] = state.suspects
     if sender in suspects:
-        result = classify_suspect(region_provider(), reading, cfg)
+        result = classify_suspect(region, reading, cfg)
         if result.outcome is ClassifyOutcome.ATTACKER:
             del suspects[sender]
             state.blacklist[sender] = BlacklistEntry(rnd, state.node_id, reading)
@@ -157,15 +157,15 @@ def build_consensus_region(state, own_reading: float, cap: int) -> ConsensusRegi
     individual readings of up to ``cap`` similar neighbors, lowest ids
     first, skipping anything currently suspected or blacklisted."""
     values = [own_reading]
-    taken = 0
+    ids: List[int] = []
     suspects = state.suspects
     blacklist = state.blacklist
     records = state.table.records
     for nid in sorted(state.table.similar):
-        if taken >= cap:
+        if len(ids) >= cap:
             break
         if nid in suspects or nid in blacklist:
             continue
         values.append(records[nid].individual_reading)
-        taken += 1
-    return ConsensusRegion(values)
+        ids.append(nid)
+    return ConsensusRegion(values, tuple(ids))

@@ -267,7 +267,12 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
     # handle_data_message inlined, with the same IEEE operations in the same
     # order; the table's running sums live in locals for the receiver's pass
     # and go back to the table around process_suspect, which can remove a
-    # record and so change them.
+    # record and so change them. A watching receiver keeps its consensus
+    # region until one of its inputs changes: the similar set, the suspects,
+    # the blacklist or the record of an id in it (its own reading is fixed
+    # for the pass). A sender above region_max is not in the region and
+    # cannot enter it.
+    cap = dcfg.region_cap
     fresh_alerts: List[AlertMessage] = []
     interactions = 0
     for i in range(n):
@@ -283,6 +288,8 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
         sum_w = table._sum_w
         own = st.current_reading
         watch = detection_on and not gt.is_attacker(i)
+        region = None
+        region_max = -1
         for j in world.adjacency[i]:
             x = readings[j]
             if x is None or j in blacklist:
@@ -315,20 +322,29 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
                 similar.discard(j)
                 sum_aw -= a * c
                 sum_w -= c
-            if not watch or (verdict and j not in suspects):
+            if not watch:
                 continue
+            if verdict and j not in suspects:
+                if j <= region_max:
+                    region = None  # refreshed in the region, or entering it
+                continue
+            if region is not None and j in region.ids:
+                region = None  # dropped from the similar set
+            if region is None and j in suspects:
+                region = build_consensus_region(st, own, cap)
+                region_max = region.ids[-1] if len(region.ids) == cap else n
             table._sum_aw = sum_aw
             table._sum_w = sum_w
-            outcome, am, res = process_suspect(
-                st, j, x, verdict,
-                lambda: build_consensus_region(st, own, dcfg.region_cap),
-                dcfg, rnd)
+            outcome, am, res = process_suspect(st, j, x, verdict, region, dcfg, rnd)
             sum_aw = table._sum_aw
             sum_w = table._sum_w
+            # an added suspect is dissimilar and a convicted one was
+            # suspected: the region leaves both out before and after
             if outcome is SuspectOutcome.ADDED:
                 events.append((rnd, EVENT_SUSPECT_ADDED, i, j, x))
             elif outcome is SuspectOutcome.CLEARED:
                 events.append((rnd, EVENT_SUSPECT_CLEARED, i, j, x))
+                region = None  # eligible again if similar
             elif outcome is SuspectOutcome.DETECTED:
                 events.append((rnd, EVENT_ATTACKER_DETECTED, i, j, x))
                 world._note_blacklisted(i, j)

@@ -92,8 +92,6 @@ def load_trace(path: str) -> TraceTable:
     if not os.path.exists(path):
         raise TraceError(f"trace not found: {path}")
     entries = {}
-    max_round = -1
-    max_node = -1
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -121,16 +119,15 @@ def load_trace(path: str) -> TraceTable:
                 raise TraceError(f"trace format error at line {ln}: "
                                  f"duplicate pair (round {rnd}, node {node})")
             entries[(rnd, node)] = value
-            max_round = max(max_round, rnd)
-            max_node = max(max_node, node)
     if not entries:
         raise TraceError("trace format error: no data rows")
-    n_rounds = max_round + 1
-    n_nodes = max_node + 1
+    keys = np.array(list(entries))
+    n_rounds, n_nodes = (int(m) + 1 for m in keys.max(axis=0))
+    # the pairs are distinct and in range, so a full count means none is missing
+    if len(entries) < n_rounds * n_nodes:
+        r, n = next((r, n) for r in range(n_rounds) for n in range(n_nodes)
+                    if (r, n) not in entries)
+        raise TraceError(f"trace format error: missing pair (round {r}, node {n})")
     values = np.empty((n_rounds, n_nodes))
-    for r in range(n_rounds):
-        for n in range(n_nodes):
-            if (r, n) not in entries:
-                raise TraceError(f"trace format error: missing pair (round {r}, node {n})")
-            values[r, n] = entries[(r, n)]
+    values[keys[:, 0], keys[:, 1]] = list(entries.values())
     return TraceTable(values)

@@ -206,9 +206,9 @@ def test_criterion_6_property_suites():
         cfg = DetectionConfig(consensus_threshold=5.0)
         for _ in range(1000):
             center = rng.uniform(-20, 20)
-            region = ConsensusRegion([center + rng.uniform(-2, 2)
-                                      for _ in range(rng.randint(2, 9))])
-            mean = region.mean
+            values = [center + rng.uniform(-2, 2) for _ in range(rng.randint(2, 9))]
+            region = ConsensusRegion(values)
+            mean = sum(values) / len(values)
             d1 = rng.uniform(0, 40)
             d2 = d1 + rng.uniform(0, 40)
             sign = rng.choice((-1.0, 1.0))

@@ -281,3 +281,45 @@ def test_extract_clusters_property_matches_bruteforce(graph):
     assert snap.round == 7
     assert snap.clusters == expected
     assert snap.leaders == [_oracle_leaders(sets, c) for c in expected]
+
+
+# table operations: a message (new record or refresh, then a similarity
+# verdict that adds or drops), an add of a held record to the similar set,
+# a drop from it, or a removal
+_IDS = st.integers(min_value=0, max_value=11)
+_VALUES = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+_TABLE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("message"), _IDS, _VALUES, _VALUES, st.integers(0, 50)),
+    st.tuples(st.just("add"), _IDS),
+    st.tuples(st.just("drop"), _IDS),
+    st.tuples(st.just("remove"), _IDS),
+), max_size=200)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TABLE_OPS)
+def test_running_sums_stay_within_rounding_of_recomputation(ops):
+    """The incremental sums differ from a from-scratch sum over the similar
+    set by no more than the roundings of the steps taken: at most four per
+    step, each of at most one ulp of the largest magnitude a sum or term can
+    reach. The count sum is a sum of small integers and stays exact."""
+    cfg = ClusterConfig(cthresh=50.0)
+    table = NeighborTable()
+    magnitude = 100.0 * 50 * (12 + 2)
+    eps = 2.0 ** -52
+    for step, op in enumerate(ops, start=1):
+        if op[0] == "message":
+            _, sender, reading, aggregate, count = op
+            handle_data_message(table, DataMessage(sender, reading, aggregate, count),
+                                0.0, cfg, step)
+        elif op[0] == "add":
+            if op[1] in table.records:
+                table.add_similar(op[1])
+        elif op[0] == "drop":
+            table.drop_similar(op[1])
+        else:
+            table.remove(op[1])
+        similar = [table.records[i] for i in table.similar]
+        direct_aw = sum(r.aggregate_reading * r.neighbor_count for r in similar)
+        assert abs(table._sum_aw - direct_aw) <= 4 * step * eps * magnitude
+        assert table._sum_w == sum(r.neighbor_count for r in similar)

@@ -70,8 +70,8 @@ def test_classify_fig_values():
 
 def test_classify_mean_is_honest():
     cfg = DetectionConfig(consensus_threshold=5.0)
-    region = ConsensusRegion(list(FIG_REGION))
-    res = classify_suspect(region, region.mean, cfg)
+    mean = sum(FIG_REGION) / len(FIG_REGION)
+    res = classify_suspect(ConsensusRegion(list(FIG_REGION)), mean, cfg)
     assert res.outcome is ClassifyOutcome.HONEST
     assert res.combined_sd <= res.region_sd + 1e-12
 
@@ -117,7 +117,7 @@ def test_classify_monotone_in_distance_from_mean():
         center = rng.uniform(-20, 20)
         values = [center + rng.uniform(-2, 2) for _ in range(n)]
         region = ConsensusRegion(values)
-        mean = region.mean
+        mean = sum(values) / n
         d1 = rng.uniform(0, 30)
         d2 = d1 + rng.uniform(0, 30)
         sign = rng.choice((-1.0, 1.0))
@@ -140,13 +140,13 @@ def _node_with_similar(node_id, own, neighbor_readings, rnd=0):
 def test_process_suspect_add_then_detect():
     dcfg = DetectionConfig(consensus_threshold=5.0)
     st = _node_with_similar(0, 16.0, [14.0, 15.0, 17.0, 18.0])
-    provider = lambda: build_consensus_region(st, 16.0, dcfg.region_cap)
 
-    outcome, am, res = process_suspect(st, 9, 45.0, False, provider, dcfg, 1)
+    outcome, am, res = process_suspect(st, 9, 45.0, False, None, dcfg, 1)
     assert outcome is SuspectOutcome.ADDED and am is None
     assert 9 in st.suspects and st.suspects[9].first_flag_round == 1
 
-    outcome, am, res = process_suspect(st, 9, 45.0, False, provider, dcfg, 2)
+    region = build_consensus_region(st, 16.0, dcfg.region_cap)
+    outcome, am, res = process_suspect(st, 9, 45.0, False, region, dcfg, 2)
     assert outcome is SuspectOutcome.DETECTED
     assert am == AlertMessage(detector=0, attacker=9, attacker_reading=45.0)
     assert 9 in st.blacklist and 9 not in st.suspects
@@ -158,8 +158,8 @@ def test_process_suspect_cleared_when_back_in_consensus():
     dcfg = DetectionConfig(consensus_threshold=5.0)
     st = _node_with_similar(0, 16.0, [14.0, 15.0, 17.0, 18.0])
     st.suspects[9] = SuspectEntry(first_flag_round=0)
-    provider = lambda: build_consensus_region(st, 16.0, dcfg.region_cap)
-    outcome, am, res = process_suspect(st, 9, 22.0, False, provider, dcfg, 1)
+    region = build_consensus_region(st, 16.0, dcfg.region_cap)
+    outcome, am, res = process_suspect(st, 9, 22.0, False, region, dcfg, 1)
     assert outcome is SuspectOutcome.CLEARED
     assert 9 not in st.suspects and 9 not in st.blacklist
 
@@ -168,8 +168,8 @@ def test_process_suspect_pending_on_invalid_region():
     dcfg = DetectionConfig(consensus_threshold=5.0)
     st = _node_with_similar(0, 16.0, [])  # no similar neighbors at all
     st.suspects[9] = SuspectEntry(first_flag_round=0)
-    provider = lambda: build_consensus_region(st, 16.0, dcfg.region_cap)
-    outcome, am, res = process_suspect(st, 9, 45.0, False, provider, dcfg, 1)
+    region = build_consensus_region(st, 16.0, dcfg.region_cap)
+    outcome, am, res = process_suspect(st, 9, 45.0, False, region, dcfg, 1)
     assert outcome is SuspectOutcome.PENDING
     assert 9 in st.suspects and 9 not in st.blacklist
 
@@ -177,8 +177,7 @@ def test_process_suspect_pending_on_invalid_region():
 def test_process_suspect_similar_unsuspected_no_change():
     dcfg = DetectionConfig()
     st = _node_with_similar(0, 16.0, [15.0, 17.0])
-    outcome, am, res = process_suspect(
-        st, 9, 16.5, True, lambda: build_consensus_region(st, 16.0, 5), dcfg, 1)
+    outcome, am, res = process_suspect(st, 9, 16.5, True, None, dcfg, 1)
     assert outcome is SuspectOutcome.NO_CHANGE
     assert not st.suspects and not st.blacklist
 
@@ -191,6 +190,8 @@ def test_build_consensus_region_caps_and_skips():
     region = build_consensus_region(st, 16.0, cap=3)
     # own reading plus the three lowest-id eligible similar neighbors
     assert region.values == [16.0, 15.5, 16.5, 17.0]
+    assert region.ids == (102, 103, 104)
+    assert region.sd == region_sd(region.values)
 
 
 def test_handle_alert_new_entry_and_forwarding():

@@ -69,10 +69,11 @@ def reference_exchange(world, cfg):
             if not watch:
                 continue
             if j in st.suspects or not verdict:
+                # the region is rebuilt for every suspected sender
+                region = (build_consensus_region(st, own, dcfg.region_cap)
+                          if j in st.suspects else None)
                 outcome, am, res = process_suspect(
-                    st, j, dm.individual_reading, verdict,
-                    lambda: build_consensus_region(st, own, dcfg.region_cap),
-                    dcfg, rnd)
+                    st, j, dm.individual_reading, verdict, region, dcfg, rnd)
                 reading = dm.individual_reading
                 if outcome is SuspectOutcome.ADDED:
                     events.append((rnd, EVENT_SUSPECT_ADDED, i, j, reading))
@@ -100,6 +101,13 @@ CASES = {
     "sensitive": (lambda _: _cfg(seed=1, attack=AttackConfig(attack_type="sensitive"),
                                  sensing=FieldConfig(noise_sigma=1.5)),
                   EVENT_ATTACKER_DETECTED),
+    # noisy readings and a low consensus threshold leave suspects pending,
+    # clear them and convict them, so a receiver's consensus region is
+    # rebuilt between pending checks in one pass
+    "mixed-verdicts": (lambda _: _cfg(seed=1, attack=AttackConfig(attack_type="sensitive"),
+                                      sensing=FieldConfig(noise_sigma=1.5),
+                                      detection=DetectionConfig(consensus_threshold=1.0)),
+                       EVENT_SUSPECT_CLEARED),
     "crash": (lambda _: _cfg(seed=1, crash_fraction=0.2, crash_round=10),
               EVENT_ATTACKER_DETECTED),
     # exact readings and a tight consensus threshold convict attackers whose
@@ -138,3 +146,28 @@ def test_flattened_round_matches_reference(case, tmp_path, monkeypatch):
     assert flat.node_blacklists == ref.node_blacklists
     assert flat.total_interactions == ref.total_interactions
     assert _node_state(flat_world) == _node_state(ref_world)
+
+
+@pytest.mark.parametrize("case", ["churn", "crash", "fdi", "mixed-verdicts", "sensitive",
+                                  "similar-conviction"])
+def test_reused_region_equals_a_fresh_build(case, tmp_path, monkeypatch):
+    """Every consensus check sees the region a fresh build of the receiver's
+    current state would give, float for float, although the engine reuses
+    one region across checks while its inputs hold."""
+    seen = {"checks": 0, "reused": 0}
+    last = []
+
+    def checked(state, sender, reading, verdict, region, cfg, rnd):
+        if sender in state.suspects:
+            fresh = build_consensus_region(state, state.current_reading, cfg.region_cap)
+            assert region == fresh, (rnd, state.node_id, sender)
+            seen["checks"] += 1
+            seen["reused"] += bool(last) and region is last[0]
+            last[:] = [region]
+        return process_suspect(state, sender, reading, verdict, region, cfg, rnd)
+
+    run_recorded(CASES[case][0](tmp_path), monkeypatch, process_suspect=checked)
+    assert seen["checks"] > seen["reused"]
+    # a churn receiver seldom checks two suspects in one pass, so its run
+    # may reuse no region; each other case does
+    assert seen["reused"] > 0 or case == "churn"
