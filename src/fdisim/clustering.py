@@ -62,6 +62,10 @@ class NeighborTable:
     def aggregate(self, own_reading: float) -> float:
         return (own_reading + self._sum_aw) / (1.0 + self._sum_w)
 
+    def reading(self, sender: int) -> float:
+        """The individual reading of the record held of a neighbor."""
+        return self.records[sender].individual_reading
+
     def add_similar(self, sender: int) -> None:
         if sender not in self.similar:
             rec = self.records[sender]

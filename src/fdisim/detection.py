@@ -94,7 +94,6 @@ class BlacklistEntry:
 
 
 class SuspectOutcome(Enum):
-    NO_CHANGE = "no-change"
     ADDED = "added"
     CLEARED = "cleared"
     DETECTED = "detected"
@@ -106,13 +105,14 @@ def process_suspect(state, sender: int, reading: float, similar_verdict: bool,
                     ) -> Tuple[SuspectOutcome, Optional[AlertMessage], Optional[ClassifyResult]]:
     """Advance one suspect state machine step for a received reading.
 
-    A sender already under suspicion is put through the consensus filter
-    with its newest reading against ``region``, the detector's current
-    consensus region: conviction moves it to the blacklist and emits an
-    alert, acquittal clears it, an invalid region leaves it pending. A
-    dissimilar sender not yet suspected is added to the suspect list. A
-    similar, unsuspected sender changes nothing. ``region`` is read only for
-    a sender already suspected and may be None otherwise.
+    Called only for a sender that is suspected or whose message failed the
+    similarity test (``similar_verdict`` False). A sender already under
+    suspicion is put through the consensus filter with its newest reading
+    against ``region``, the detector's current consensus region: conviction
+    moves it to the blacklist and emits an alert, acquittal clears it, an
+    invalid region leaves it pending. Any other sender is dissimilar and is
+    added to the suspect list. ``region`` is read only for a sender already
+    suspected and may be None otherwise.
     """
     suspects: Dict[int, SuspectEntry] = state.suspects
     if sender in suspects:
@@ -128,10 +128,8 @@ def process_suspect(state, sender: int, reading: float, similar_verdict: bool,
             del suspects[sender]
             return SuspectOutcome.CLEARED, None, result
         return SuspectOutcome.PENDING, None, result
-    if not similar_verdict:
-        suspects[sender] = SuspectEntry(rnd)
-        return SuspectOutcome.ADDED, None, None
-    return SuspectOutcome.NO_CHANGE, None, None
+    suspects[sender] = SuspectEntry(rnd)
+    return SuspectOutcome.ADDED, None, None
 
 
 def handle_alert(state, am: AlertMessage, is_leader: bool, rnd: int) -> bool:
@@ -160,12 +158,12 @@ def build_consensus_region(state, own_reading: float, cap: int) -> ConsensusRegi
     ids: List[int] = []
     suspects = state.suspects
     blacklist = state.blacklist
-    records = state.table.records
-    for nid in sorted(state.table.similar):
+    table = state.table
+    for nid in sorted(table.similar):
         if len(ids) >= cap:
             break
         if nid in suspects or nid in blacklist:
             continue
-        values.append(records[nid].individual_reading)
+        values.append(table.reading(nid))
         ids.append(nid)
     return ConsensusRegion(values, tuple(ids))

@@ -1,25 +1,30 @@
 """Deterministic round-based world: node placement, unit-disk adjacency,
 per-round data-message exchange, alert propagation, leader election and
-cluster snapshotting."""
+cluster snapshotting.
+
+Each receiver's neighbor state lives in ``(n, maxdeg)`` arrays indexed by
+adjacency slot: slot k of row i belongs to node i's k-th lowest neighbor id.
+"""
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .attacks import AttackConfig, GroundTruth, attack_is_active, forge_reading, select_attackers
-# handle_data_message (phase 2 inlines it) and transition_label are not
-# called here; the names stay imported because the benchmark's tracing wraps
-# them in this namespace by name
-from .clustering import (ClusterConfig, ClusterSnapshot, NeighborRecord, NeighborTable,
-                         build_data_message, extract_clusters, handle_data_message, prune_ids)
+# build_data_message, handle_data_message, prune_ids, transition_label and
+# validate_data_message are not called here; the names stay imported
+# because the benchmark's tracing wraps them in this namespace by name
+from .clustering import (ClusterConfig, ClusterSnapshot, build_data_message, extract_clusters,
+                         handle_data_message, prune_ids)
 from .detection import (BlacklistEntry, DetectionConfig, SuspectEntry,
                         SuspectOutcome, build_consensus_region, handle_alert, process_suspect)
-from .domain import (AlertMessage, DataMessage, require_finite, transition_label,
-                     validate_data_message)
+from .domain import AlertMessage, require_finite, transition_label, validate_data_message
 from .metrics import (ConfusionCounts, MetricsReport, build_report, cluster_availability,
                       compute_confusion)
 from .sensing import FieldConfig, SynthField, TraceError, load_trace
@@ -32,8 +37,10 @@ EVENT_ATTACKER_DETECTED = "attacker_detected"
 EVENT_ALERT_FORWARDED = "alert_forwarded"
 EVENT_NODE_EXCLUDED = "node_excluded"
 
-# cells of one row block of the pairwise-distance computation
+# cells of one row block of the pairwise-distance computation and of phase 2
 _ADJACENCY_BLOCK_CELLS = 1 << 14
+# last-seen round of a slot that holds no record
+NO_RECORD = -1
 
 
 class ConfigError(Exception):
@@ -82,15 +89,83 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from None
 
 
+class NeighborSlots:
+    """Every receiver's neighbor state, as ``(n, maxdeg)`` arrays indexed by
+    adjacency slot: the record (``rec_x``, ``rec_a``, ``rec_c`` and ``seen``:
+    reading, aggregate, count and last-seen round), the similar flag, and
+    whether the receiver blacklists or suspects that neighbor. ``sum_aw``
+    and ``sum_w`` are each receiver's running sums of aggregate * count and
+    of count over its similar slots."""
+
+    def __init__(self, adjacency: List[List[int]]) -> None:
+        n = len(adjacency)
+        self.adjacency = adjacency
+        degree = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
+        shape = (n, max(1, int(degree.max())))
+        real = np.arange(shape[1]) < degree[:, None]
+        self.nbr = np.zeros(shape, dtype=np.intp)
+        self.nbr[real] = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp,
+                                     count=int(degree.sum()))
+        self.rec_x = np.zeros(shape)
+        self.rec_a = np.zeros(shape)
+        self.rec_c = np.zeros(shape)
+        self.seen = np.full(shape, NO_RECORD, dtype=np.int32)
+        self.flag = np.zeros(shape, dtype=bool)
+        # slots past a node's degree are blocked, so they never take a message
+        self.blocked = ~real
+        self.suspected = np.zeros(shape, dtype=bool)
+        self.sum_aw = np.zeros(n)
+        self.sum_w = np.zeros(n)
+
+    def slot(self, i: int, j: int) -> Optional[int]:
+        """Node j's slot in node i's row, or None when they are not adjacent."""
+        neigh = self.adjacency[i]
+        k = bisect_left(neigh, j)
+        return k if k < len(neigh) and neigh[k] == j else None
+
+
+class SlotTable:
+    """One receiver's neighbor table as a view of its row of the slot
+    arrays, with the members detection uses of a NeighborTable: ``similar``,
+    ``reading`` and ``remove``. The engine keeps ``similar`` equal to the
+    ids whose similar flag is set."""
+
+    __slots__ = ("slots", "row", "similar")
+
+    def __init__(self, slots: NeighborSlots, row: int) -> None:
+        self.slots = slots
+        self.row = row
+        self.similar: Set[int] = set()
+
+    def reading(self, sender: int) -> float:
+        """The individual reading of the record held of a neighbor."""
+        s, i = self.slots, self.row
+        return s.rec_x.item(i, bisect_left(s.adjacency[i], sender))
+
+    def remove(self, sender: int) -> None:
+        """Forget a neighbor entirely (blacklist purge, staleness)."""
+        s, i = self.slots, self.row
+        k = s.slot(i, sender)
+        if k is None:
+            return
+        if s.flag[i, k]:
+            s.flag[i, k] = False
+            s.sum_aw[i] -= s.rec_a[i, k] * s.rec_c[i, k]
+            s.sum_w[i] -= s.rec_c[i, k]
+        self.similar.discard(sender)
+        s.seen[i, k] = NO_RECORD
+
+
 class NodeState:
-    """One node's protocol state."""
+    """One node's protocol state; its neighbor table is a view of its row of
+    the world's slot arrays."""
 
     __slots__ = ("node_id", "table", "suspects", "blacklist", "known_leaders",
                  "current_reading")
 
-    def __init__(self, node_id: int) -> None:
+    def __init__(self, node_id: int, table: SlotTable) -> None:
         self.node_id = node_id
-        self.table = NeighborTable()
+        self.table = table
         self.suspects: Dict[int, SuspectEntry] = {}
         self.blacklist: Dict[int, BlacklistEntry] = {}
         self.known_leaders: AbstractSet[int] = frozenset()
@@ -164,14 +239,13 @@ class WorldState:
 
     def __init__(self, cfg: ScenarioConfig, adjacency, ground_truth: GroundTruth,
                  source, crashed: Set[int]) -> None:
-        n = cfg.n_nodes
         self.cfg = cfg
         self.adjacency = adjacency
-        self.adjacency_sets = [set(neigh) for neigh in adjacency]
         self.ground_truth = ground_truth
         self.source = source
         self.crashed = crashed
-        self.states = [NodeState(i) for i in range(n)]
+        self.slots = NeighborSlots(adjacency)
+        self.states = [NodeState(i, SlotTable(self.slots, i)) for i in range(cfg.n_nodes)]
         self.round = 0
         self.pending_alerts: List[Tuple[AlertMessage, int]] = []
         self.excluded: Set[int] = set()
@@ -198,9 +272,20 @@ class WorldState:
     def node_is_dead(self, node_id: int) -> bool:
         return node_id in self.crashed and self.round >= self.cfg.crash_round
 
+    def live_mask(self) -> np.ndarray:
+        """True for every node that is neither excluded nor dead."""
+        live = np.ones(self.cfg.n_nodes, dtype=bool)
+        live[list(self.excluded)] = False
+        if self.round >= self.cfg.crash_round:
+            live[list(self.crashed)] = False
+        return live
+
     def _note_blacklisted(self, observer: int, target: int) -> None:
         self.blacklisted_union.add(target)
-        if observer in self.adjacency_sets[target]:
+        k = self.slots.slot(observer, target)
+        if k is not None:
+            self.slots.blocked[observer, k] = True
+            self.slots.suspected[observer, k] = False
             self.blacklister_count[target] = self.blacklister_count.get(target, 0) + 1
             self._bl_touched.add(target)
 
@@ -221,141 +306,269 @@ def _deliver_alert(world: WorldState, receiver: int, am: AlertMessage, rnd: int)
     return forward
 
 
+def _solve(aw0, w0, own, x, a, c, old_a, old_c, prev, part, cthresh):
+    """Similarity verdicts and running sums of sequential passes over rows
+    of slots, each row a receiver with starting sums ``aw0`` and ``w0``.
+
+    At a slot that takes part (``part``) the pass first refreshes a sender
+    that was similar (adding its new a*c minus its old one) and takes the
+    verdict, then adds a*c to the sums if the sender enters the similar set
+    or subtracts it if it leaves. These two deltas per slot are laid out
+    along the row, -0.0 where the pass does nothing (x + -0.0 is x for
+    every double), and summed with ``np.cumsum``, a sequential add: the
+    same IEEE additions in the same order as a slot-by-slot loop. Only the
+    second delta depends on a verdict, so verdicts are guessed (last
+    round's flags first), recomputed from the sums and guessed again until
+    no guess changes. A row is exact up to its first wrong guess, whose
+    recomputed verdict is then right, so this ends within width + 1 rounds
+    of guessing.
+
+    Returns the verdicts (meaningful where ``part``) and the cumulative sums:
+    column 2k + 1 holds the sums the verdict of slot k was taken with, and
+    column 2k + 2 the sums after slot k.
+    """
+    rows, width = x.shape
+    ac = a * c
+    seq_aw = np.empty((rows, 2 * width + 1))
+    seq_w = np.empty((rows, 2 * width + 1))
+    seq_aw[:, 0] = aw0
+    seq_w[:, 0] = w0
+    kept = part & prev
+    seq_aw[:, 1::2] = np.where(kept, ac - old_a * old_c, -0.0)
+    seq_w[:, 1::2] = np.where(kept, c - old_c, -0.0)
+    flip_aw = np.where(prev, -ac, ac)
+    flip_w = np.where(prev, -c, c)
+    close = np.abs(own[:, None] - a) < cthresh
+    guess = prev
+    while True:
+        flips = part & (guess != prev)
+        seq_aw[:, 2::2] = np.where(flips, flip_aw, -0.0)
+        seq_w[:, 2::2] = np.where(flips, flip_w, -0.0)
+        cum_aw = np.cumsum(seq_aw, axis=1)
+        cum_w = np.cumsum(seq_w, axis=1)
+        verdict = np.abs(x - (own[:, None] + cum_aw[:, 1::2]) / (1.0 + cum_w[:, 1::2])) < cthresh
+        verdict &= close
+        if not (part & (verdict != guess)).any():
+            return verdict, cum_aw, cum_w
+        guess = verdict
+
+
+class _Block:
+    """Phase 2 of one round over the receiver rows from ``lo``: each slot's
+    message (``x``, ``a``, ``c``), which slots take part or are discarded,
+    the pass-start flags and suspicions, the solved verdicts and sums, and
+    the readings and last-seen rounds the records end the pass with."""
+
+    __slots__ = ("lo", "own", "nbr", "x", "a", "c", "prev", "part", "discarded",
+                 "suspected", "verdict", "cum_aw", "cum_w", "rec_x", "seen", "steady", "moved")
+
+    def walk_entries(self, cells: np.ndarray) -> List[tuple]:
+        """Per given cell (row * width + slot): the slot, the sender, its
+        reading, the verdict, whether the sender was suspected and whether
+        its message was discarded."""
+        return list(zip((cells % self.nbr.shape[1]).tolist(), self.nbr.take(cells).tolist(),
+                        self.x.take(cells).tolist(), self.verdict.take(cells).tolist(),
+                        self.suspected.take(cells).tolist(),
+                        self.discarded.take(cells).tolist()))
+
+    def note_verdicts(self) -> None:
+        """Per slot, the similar, unsuspected slots below it, and whether
+        the pass changes the slot's flag."""
+        self.steady = np.cumsum(self.part & self.verdict & ~self.suspected, axis=1)
+        self.moved = self.part & (self.verdict != self.prev)
+
+
 def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage], List[int]]:
     """Phases 1 and 2 of a round: every live node broadcasts once, then every
-    live receiver takes in its neighbors' messages in adjacency order.
+    live receiver takes in its neighbors' messages in slot order.
 
     Returns the alerts raised by this round's convictions and the ids of the
     nodes whose message no receiver took in: those that sent nothing and
     those whose message was discarded.
     """
     rnd = world.round
-    states = world.states
-    events = world.events
-    gt = world.ground_truth
-    excluded = world.excluded
-    dcfg = cfg.detection
-    acfg = cfg.attack
-    cthresh = cfg.cluster.cthresh
-    detection_on = dcfg.detection_enabled
     n = cfg.n_nodes
+    states = world.states
+    slots = world.slots
+    cthresh = cfg.cluster.cthresh
+    attackers = world.ground_truth.attackers
+    live = world.live_mask()
+    own = world.source.values[rnd]
 
-    # phase 1: every live, non-excluded node broadcasts one data message,
-    # kept as parallel per-sender lists; None marks a node that sent nothing
-    readings: List[Optional[float]] = [None] * n
-    aggregates = [0.0] * n
-    counts = [0] * n
-    valid = [False] * n
-    for i in range(n):
-        if i in excluded or world.node_is_dead(i):
-            continue
-        st = states[i]
-        true_reading = world.source.reading(i, rnd)
-        st.current_reading = true_reading
-        dm = build_data_message(i, true_reading, st.table)
-        if gt.is_attacker(i) and attack_is_active(rnd, acfg):
-            forged = forge_reading(true_reading, dm.aggregate_reading, acfg, cthresh,
-                                   world.forge_rng(i))
-            dm = DataMessage(i, forged, dm.aggregate_reading, dm.neighbor_count)
-        readings[i] = dm.individual_reading
-        aggregates[i] = dm.aggregate_reading
-        counts[i] = dm.neighbor_count
-        valid[i] = validate_data_message(dm)
-        events.append((rnd, EVENT_DM_SENT, i, None, dm.individual_reading))
+    # phase 1: every live node's message, as arrays by sender
+    aggregate = (own + slots.sum_aw) / (1.0 + slots.sum_w)
+    reading = own.copy()
+    ids = np.flatnonzero(live).tolist()
+    for i, value in zip(ids, own[live].tolist()):
+        states[i].current_reading = value
+    if attackers and attack_is_active(rnd, cfg.attack):
+        for i in sorted(attackers):
+            if live[i]:
+                reading[i] = forge_reading(float(own[i]), float(aggregate[i]), cfg.attack,
+                                           cthresh, world.forge_rng(i))
+    world.events.extend([(rnd, EVENT_DM_SENT, i, None, x)
+                         for i, x in zip(ids, reading[live].tolist())])
+    valid = live & np.isfinite(reading) & np.isfinite(aggregate)
+    count = np.count_nonzero(slots.flag, axis=1).astype(float)
 
-    # phase 2: in-range delivery and per-receiver processing. This is
-    # handle_data_message inlined, with the same IEEE operations in the same
-    # order; the table's running sums live in locals for the receiver's pass
-    # and go back to the table around process_suspect, which can remove a
-    # record and so change them. A watching receiver keeps its consensus
-    # region until one of its inputs changes: the similar set, the suspects,
-    # the blacklist or the record of an id in it (its own reading is fixed
-    # for the pass). A sender above region_max is not in the region and
-    # cannot enter it.
-    cap = dcfg.region_cap
+    # phase 2, one block of receiver rows at a time: the similarity passes
+    # are solved for the whole block, then each watching receiver walks its
+    # dissimilar and suspected slots through detection, and every receiver
+    # its discarded ones
+    watch = live.copy()
+    watch[list(attackers)] = False
+    if not cfg.detection.detection_enabled:
+        watch[:] = False
+    step = max(1, _ADJACENCY_BLOCK_CELLS // slots.nbr.shape[1])
     fresh_alerts: List[AlertMessage] = []
-    interactions = 0
-    for i in range(n):
-        if i in excluded or world.node_is_dead(i):
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        if not live[lo:hi].any():
             continue
-        st = states[i]
-        blacklist = st.blacklist
-        suspects = st.suspects
-        table = st.table
-        records = table.records
-        similar = table.similar
-        sum_aw = table._sum_aw
-        sum_w = table._sum_w
-        own = st.current_reading
-        watch = detection_on and not gt.is_attacker(i)
-        region = None
-        region_max = -1
-        for j in world.adjacency[i]:
-            x = readings[j]
-            if x is None or j in blacklist:
-                continue
-            if not valid[j]:
+        b = _Block()
+        b.lo, b.own = lo, own[lo:hi]
+        b.nbr = nbr = slots.nbr[lo:hi]
+        heard = ~slots.blocked[lo:hi] & live[lo:hi, None]
+        ok = valid[nbr]
+        b.part = part = ok & heard
+        b.discarded = live[nbr] & ~ok & heard
+        b.x, b.a, b.c = reading[nbr], aggregate[nbr], count[nbr]
+        b.prev = prev = slots.flag[lo:hi].copy()
+        b.suspected = slots.suspected[lo:hi].copy()
+        b.verdict, b.cum_aw, b.cum_w = _solve(
+            slots.sum_aw[lo:hi], slots.sum_w[lo:hi], b.own, b.x, b.a, b.c,
+            slots.rec_a[lo:hi], slots.rec_c[lo:hi], prev, part, cthresh)
+        world.total_interactions += int(np.count_nonzero(part))
+        b.rec_x = np.where(part, b.x, slots.rec_x[lo:hi])
+        b.seen = np.where(part, rnd, slots.seen[lo:hi])
+        walk = part & (~b.verdict | b.suspected)
+        walk &= watch[lo:hi, None]
+        walk |= b.discarded
+        cells = np.flatnonzero(walk)
+        if cells.size:
+            b.note_verdicts()
+            entries = b.walk_entries(cells)
+            rows = cells // nbr.shape[1]
+            starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
+            for first, end in zip(starts, starts[1:] + [len(entries)]):
+                _walk_row(world, cfg, b, int(rows[first]), entries[first:end], fresh_alerts)
+        # the receivers keep the state their passes end with
+        flag = np.where(part, b.verdict, prev)
+        slots.flag[lo:hi] = flag
+        slots.rec_x[lo:hi] = b.rec_x
+        np.copyto(slots.rec_a[lo:hi], b.a, where=part)
+        np.copyto(slots.rec_c[lo:hi], b.c, where=part)
+        slots.seen[lo:hi] = b.seen
+        np.copyto(slots.sum_aw[lo:hi], b.cum_aw[:, -1], where=live[lo:hi])
+        np.copyto(slots.sum_w[lo:hi], b.cum_w[:, -1], where=live[lo:hi])
+        rows, cols = np.nonzero(flag != prev)
+        for r, j, on in zip(rows.tolist(), nbr[rows, cols].tolist(), flag[rows, cols].tolist()):
+            similar = states[lo + r].table.similar
+            if on:
+                similar.add(j)
+            else:
+                similar.discard(j)
+    return fresh_alerts, np.flatnonzero(~valid).tolist()
+
+
+def _walk_row(world: WorldState, cfg: ScenarioConfig, b: _Block, r: int, entries: List[tuple],
+              fresh_alerts: List[AlertMessage]) -> None:
+    """Take row r's walk ``entries`` in slot order: a discard event for a
+    discarded message, detection for a dissimilar or suspected sender.
+
+    Detection sees the receiver as its sequential pass has it at the slot:
+    this round's records and flags at or below the slot, last round's above
+    it. Readings and the similar set are brought up to the slot before a
+    consensus region is built; the running sums in ``slots`` are stale until
+    the block ends. The region is kept until one of its inputs changes: a
+    similar, unsuspected slot within its reach is refreshed or enters, a
+    member turns dissimilar, or a suspect is cleared.
+    """
+    rnd = world.round
+    slots = world.slots
+    i = b.lo + r
+    st = world.states[i]
+    events = world.events
+    dcfg = cfg.detection
+    own = st.current_reading
+    pending = SuspectOutcome.PENDING
+    region = None
+    reach = 0      # similar slots below this one are in the region or can enter it
+    last = -1      # the slot walked last
+    synced = 0     # readings and similar set are current below this slot
+    steady = None  # per slot: similar, unsuspected slots below it
+    moved = None   # slots from synced on whose flag this pass changes, last first
+    while entries:
+        todo, entries = entries, None
+        for k, j, x, similar_now, suspected, discarded in todo:
+            if discarded:
                 events.append((rnd, EVENT_DM_DISCARDED, i, j, None))
                 continue
-            interactions += 1
-            a = aggregates[j]
-            c = counts[j]
-            rec = records.get(j)
-            if rec is None:
-                records[j] = NeighborRecord(x, a, c, rnd)
-            else:
-                if j in similar:
-                    sum_aw += a * c - rec.aggregate_reading * rec.neighbor_count
-                    sum_w += c - rec.neighbor_count
-                rec.individual_reading = x
-                rec.aggregate_reading = a
-                rec.neighbor_count = c
-                rec.last_seen_round = rnd
-            verdict = (abs(x - (own + sum_aw) / (1.0 + sum_w)) < cthresh
-                       and abs(own - a) < cthresh)
-            if verdict:
-                if j not in similar:
-                    similar.add(j)
-                    sum_aw += a * c
-                    sum_w += c
-            elif j in similar:
-                similar.discard(j)
-                sum_aw -= a * c
-                sum_w -= c
-            if not watch:
+            if region is not None:
+                end = k if k < reach else reach
+                if j in region.ids:
+                    region = None
+                elif end > last + 1:
+                    if steady is None:
+                        steady = [0] + b.steady[r].tolist()
+                    if steady[end] > steady[last + 1]:
+                        region = None
+            last = k
+            if region is None and suspected:
+                slots.rec_x[i, synced:k + 1] = b.rec_x[r, synced:k + 1]
+                if moved is None:
+                    moved = (np.flatnonzero(b.moved[r, synced:]) + synced).tolist()[::-1]
+                while moved and moved[-1] <= k:
+                    t = moved.pop()
+                    if b.verdict[r, t]:
+                        st.table.similar.add(b.nbr.item(r, t))
+                    else:
+                        st.table.similar.discard(b.nbr.item(r, t))
+                synced = k + 1
+                region = build_consensus_region(st, own, dcfg.region_cap)
+                reach = (slots.slot(i, region.ids[-1]) + 1
+                         if len(region.ids) == dcfg.region_cap else b.nbr.shape[1])
+            outcome, am, res = process_suspect(st, j, x, similar_now, region, dcfg, rnd)
+            if outcome is pending:
                 continue
-            if verdict and j not in suspects:
-                if j <= region_max:
-                    region = None  # refreshed in the region, or entering it
-                continue
-            if region is not None and j in region.ids:
-                region = None  # dropped from the similar set
-            if region is None and j in suspects:
-                region = build_consensus_region(st, own, cap)
-                region_max = region.ids[-1] if len(region.ids) == cap else n
-            table._sum_aw = sum_aw
-            table._sum_w = sum_w
-            outcome, am, res = process_suspect(st, j, x, verdict, region, dcfg, rnd)
-            sum_aw = table._sum_aw
-            sum_w = table._sum_w
-            # an added suspect is dissimilar and a convicted one was
-            # suspected: the region leaves both out before and after
             if outcome is SuspectOutcome.ADDED:
                 events.append((rnd, EVENT_SUSPECT_ADDED, i, j, x))
+                slots.suspected[i, k] = True
             elif outcome is SuspectOutcome.CLEARED:
                 events.append((rnd, EVENT_SUSPECT_CLEARED, i, j, x))
+                slots.suspected[i, k] = False
                 region = None  # eligible again if similar
-            elif outcome is SuspectOutcome.DETECTED:
+            else:
                 events.append((rnd, EVENT_ATTACKER_DETECTED, i, j, x))
                 world._note_blacklisted(i, j)
-                world.detections.append(DetectionRecord(
-                    rnd, i, j, x, res.region_sd, res.combined_sd))
+                world.detections.append(DetectionRecord(rnd, i, j, x, res.region_sd,
+                                                        res.combined_sd))
                 fresh_alerts.append(am)
-            # PENDING keeps the suspect unchanged
-        table._sum_aw = sum_aw
-        table._sum_w = sum_w
-    world.total_interactions += interactions
-    return fresh_alerts, [j for j in range(n) if not valid[j]]
+                b.verdict[r, k] = False
+                b.seen[r, k] = NO_RECORD
+                if similar_now:
+                    entries = _solve_rest(b, r, k, slots, cfg.cluster.cthresh)
+                    steady = moved = None
+                    break
+
+
+def _solve_rest(b: _Block, r: int, k: int, slots: NeighborSlots, cthresh: float) -> List[tuple]:
+    """Solve row r again past slot k, whose sender was convicted while
+    similar: its a*c leaves the sums after the slot. Returns the walk
+    entries past slot k."""
+    i = b.lo + r
+    s = k + 1
+    v, cum_aw, cum_w = _solve(b.cum_aw[r, 2 * k + 2] - b.a[r, k] * b.c[r, k],
+                              b.cum_w[r, 2 * k + 2] - b.c[r, k], b.own[r:r + 1],
+                              b.x[r:r + 1, s:], b.a[r:r + 1, s:], b.c[r:r + 1, s:],
+                              slots.rec_a[i:i + 1, s:], slots.rec_c[i:i + 1, s:],
+                              b.prev[r:r + 1, s:], b.part[r:r + 1, s:], cthresh)
+    b.verdict[r, s:] = v[0]
+    b.cum_aw[r, 2 * s:] = cum_aw[0]
+    b.cum_w[r, 2 * s:] = cum_w[0]
+    b.note_verdicts()
+    cols = np.flatnonzero(b.part[r, s:] & (~v[0] | b.suspected[r, s:]) | b.discarded[r, s:])
+    return b.walk_entries(r * b.nbr.shape[1] + s + cols)
 
 
 def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
@@ -402,12 +615,16 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
                 events.append((rnd, EVENT_NODE_EXCLUDED, target, None, None))
         world._bl_touched.clear()
 
-    # phase 4: TTL maintenance; only unheard senders can have gone stale
+    # phase 4: TTL maintenance; only unheard senders can have gone stale, and
+    # a live receiver drops its stale records in slot order
     if unheard:
-        for i in range(n):
-            if i in world.excluded or world.node_is_dead(i):
-                continue
-            prune_ids(states[i].table, unheard, rnd, cfg.cluster)
+        slots = world.slots
+        stale = slots.seen < rnd - cfg.cluster.neighbor_ttl_rounds
+        stale &= world.live_mask()[:, None]
+        rows, _ = np.nonzero(stale & slots.flag)
+        for i, j in zip(rows.tolist(), slots.nbr[stale & slots.flag].tolist()):
+            states[i].table.remove(j)
+        slots.seen[stale] = NO_RECORD
 
     # phase 5: election and snapshot over globally non-blacklisted nodes;
     # dead nodes hold frozen state and cannot be cluster participants
@@ -459,8 +676,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             crashed = set(crash_rng.sample(range(cfg.n_nodes), count))
 
     world = WorldState(cfg, adjacency, ground_truth, source, crashed)
-    for _ in range(cfg.n_rounds):
-        run_round(world, cfg)
+    # overflowing readings turn sums to inf and nan, silently, as with floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.n_rounds):
+            run_round(world, cfg)
 
     confusion = compute_confusion(ground_truth, world.blacklisted_union,
                                   world.total_interactions)

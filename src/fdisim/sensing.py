@@ -64,22 +64,22 @@ class SynthField:
         temporal = cfg.base_value + cfg.drift_per_round * np.arange(n_rounds, dtype=float)
         spatial = cfg.spatial_gradient * np.array([p[0] + p[1] for p in positions],
                                                   dtype=float)
-        self._values = (temporal[:, None] + spatial) + noise
+        self.values = (temporal[:, None] + spatial) + noise
 
     def reading(self, node_id: int, rnd: int) -> float:
-        return float(self._values[rnd, node_id])
+        return float(self.values[rnd, node_id])
 
 
 class TraceTable:
     """Dense externally supplied readings: one value per (round, node)."""
 
     def __init__(self, values: np.ndarray) -> None:
-        self._values = values
+        self.values = values
         self.n_rounds = values.shape[0]
         self.n_nodes = values.shape[1]
 
     def reading(self, node_id: int, rnd: int) -> float:
-        return float(self._values[rnd, node_id])
+        return float(self.values[rnd, node_id])
 
 
 def load_trace(path: str) -> TraceTable:

@@ -1,5 +1,6 @@
 """Shared fixtures: the hand-built six-node corrupted-reading world, a
-neighbor table built from records and a run that keeps its world state."""
+node and a neighbor table built from records, a run that keeps its world
+state and the records read out of that world."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import csv
 import pytest
 
 import fdisim.engine as engine
-from fdisim.clustering import NeighborTable
+from fdisim.clustering import NeighborRecord, NeighborTable
 from fdisim.engine import ScenarioConfig
 
 # node 2 broadcasts a wildly off reading every round; the others span 14..18
@@ -41,6 +42,19 @@ def golden_scenario(tmp_path):
     return golden_config(trace)
 
 
+class RefNode:
+    """A node's protocol state over a NeighborTable: what the detection
+    functions read and write, for tests that hold no world."""
+
+    def __init__(self, node_id: int) -> None:
+        self.node_id = node_id
+        self.table = NeighborTable()
+        self.suspects = {}
+        self.blacklist = {}
+        self.known_leaders = frozenset()
+        self.current_reading = 0.0
+
+
 def similar_table(neighbors) -> NeighborTable:
     """A table holding every given record in its similar set."""
     table = NeighborTable()
@@ -50,12 +64,20 @@ def similar_table(neighbors) -> NeighborTable:
     return table
 
 
-def run_recorded(cfg, monkeypatch, **replacements):
-    """Run cfg with the given ``fdisim.engine`` names replaced; returns the
-    result and the run's final world state."""
+def slot_records(world, i):
+    """The records node i holds in a run's slot arrays, by sender id."""
+    s = world.slots
+    return {s.nbr.item(i, k): NeighborRecord(s.rec_x.item(i, k), s.rec_a.item(i, k),
+                                             int(s.rec_c.item(i, k)), s.seen.item(i, k))
+            for k in range(s.nbr.shape[1]) if s.seen[i, k] != engine.NO_RECORD}
+
+
+def run_recorded(cfg, monkeypatch, world_class=engine.WorldState, **replacements):
+    """Run cfg with the given ``fdisim.engine`` names replaced, on a world of
+    ``world_class``; returns the result and the run's final world state."""
     worlds = []
 
-    class RecordedWorld(engine.WorldState):
+    class RecordedWorld(world_class):
         def __init__(self, *args):
             super().__init__(*args)
             worlds.append(self)

@@ -11,7 +11,8 @@ from fdisim.detection import (BlacklistEntry, ClassifyOutcome, ConsensusRegion,
                               SuspectOutcome)
 from fdisim.clustering import ClusterConfig, handle_data_message
 from fdisim.domain import AlertMessage, DataMessage
-from fdisim.engine import NodeState
+
+from conftest import RefNode
 
 FIG_REGION = [14.0, 15.0, 16.0, 17.0, 18.0]
 
@@ -130,7 +131,7 @@ def test_classify_monotone_in_distance_from_mean():
 
 def _node_with_similar(node_id, own, neighbor_readings, rnd=0):
     cfg = ClusterConfig(cthresh=3.0)
-    st = NodeState(node_id)
+    st = RefNode(node_id)
     st.current_reading = own
     for i, reading in enumerate(neighbor_readings, start=100):
         handle_data_message(st.table, DataMessage(i, reading, reading, 1), own, cfg, rnd)
@@ -174,14 +175,6 @@ def test_process_suspect_pending_on_invalid_region():
     assert 9 in st.suspects and 9 not in st.blacklist
 
 
-def test_process_suspect_similar_unsuspected_no_change():
-    dcfg = DetectionConfig()
-    st = _node_with_similar(0, 16.0, [15.0, 17.0])
-    outcome, am, res = process_suspect(st, 9, 16.5, True, None, dcfg, 1)
-    assert outcome is SuspectOutcome.NO_CHANGE
-    assert not st.suspects and not st.blacklist
-
-
 def test_build_consensus_region_caps_and_skips():
     st = _node_with_similar(0, 16.0, [14.0, 15.0, 15.5, 16.5, 17.0, 17.5, 18.0])
     st.suspects[100] = SuspectEntry(0)   # first similar neighbor is suspect
@@ -206,7 +199,7 @@ def test_handle_alert_new_entry_and_forwarding():
 
 
 def test_handle_alert_duplicate_idempotent():
-    st = NodeState(4)
+    st = RefNode(4)
     am = AlertMessage(detector=1, attacker=9, attacker_reading=45.0)
     assert handle_alert(st, am, is_leader=True, rnd=3) is True
     entry = st.blacklist[9]
@@ -215,14 +208,14 @@ def test_handle_alert_duplicate_idempotent():
 
 
 def test_handle_alert_common_node_does_not_forward():
-    st = NodeState(4)
+    st = RefNode(4)
     am = AlertMessage(detector=1, attacker=9, attacker_reading=45.0)
     assert handle_alert(st, am, is_leader=False, rnd=3) is False
     assert 9 in st.blacklist
 
 
 def test_handle_alert_rejects_invalid():
-    st = NodeState(4)
+    st = RefNode(4)
     bad = AlertMessage(detector=9, attacker=9, attacker_reading=45.0)
     assert handle_alert(st, bad, is_leader=True, rnd=0) is False
     assert not st.blacklist

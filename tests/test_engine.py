@@ -16,7 +16,7 @@ from fdisim.engine import (ConfigError, EVENT_ALERT_FORWARDED, EVENT_ATTACKER_DE
 from fdisim.sensing import FieldConfig
 
 from conftest import (GOLDEN_BAD_NODE, GOLDEN_DETECTOR, golden_config, run_recorded,
-                      write_golden_trace)
+                      slot_records, write_golden_trace)
 
 
 def small_cfg(**kw):
@@ -320,10 +320,10 @@ def test_discarded_senders_are_pruned_within_ttl(monkeypatch):
     def checked_round(world, cfg):
         run_round(world, cfg)
         rnd = world.round - 1
-        for i, st in enumerate(world.states):
+        for i in range(cfg.n_nodes):
             if i in world.excluded:
                 continue
-            stale.extend((rnd, i, j) for j, rec in st.table.records.items()
+            stale.extend((rnd, i, j) for j, rec in slot_records(world, i).items()
                          if rnd - rec.last_seen_round > ttl)
 
     result, _ = run_recorded(cfg, monkeypatch, run_round=checked_round)

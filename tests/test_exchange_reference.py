@@ -1,29 +1,75 @@
-"""Differential test of the flattened round against the message-object round.
+"""Differential test of the engine's slot-array round against a reference
+round written with the message-object API.
 
-``reference_exchange`` is phases 1 and 2 of a round written with the
-single-message API: one DataMessage per sender, validated once, and
-``handle_data_message`` per delivery. The engine's ``_exchange`` inlines
-that handling; both must produce identical runs.
+``reference_round`` is phases 1-5 of a round over one NeighborTable per
+node: one DataMessage per sender, validated once, ``handle_data_message``
+per delivery, a consensus region built fresh for every suspected sender,
+``prune_ids`` for TTL maintenance and ``extract_clusters`` over the similar
+sets. The engine solves each receiver's similarity pass over arrays; both
+must produce identical runs, float for float.
 """
 
+import random
 from typing import List, Optional
 
 import pytest
 
+import fdisim.engine as engine
 from fdisim.attacks import AttackConfig, attack_is_active, forge_reading
-from fdisim.clustering import build_data_message, handle_data_message
-from fdisim.detection import (DetectionConfig, SuspectOutcome, build_consensus_region,
-                              process_suspect)
+from fdisim.clustering import (build_data_message, extract_clusters, handle_data_message,
+                               prune_ids)
+from fdisim.detection import DetectionConfig, SuspectOutcome, handle_alert, process_suspect
 from fdisim.domain import AlertMessage, DataMessage, validate_data_message
-from fdisim.engine import (EVENT_ATTACKER_DETECTED, EVENT_DM_DISCARDED, EVENT_DM_SENT,
-                           EVENT_NODE_EXCLUDED, EVENT_SUSPECT_ADDED, EVENT_SUSPECT_CLEARED,
-                           DetectionRecord, ScenarioConfig)
+from fdisim.engine import (EVENT_ALERT_FORWARDED, EVENT_ATTACKER_DETECTED, EVENT_DM_DISCARDED,
+                           EVENT_DM_SENT, EVENT_NODE_EXCLUDED, EVENT_SUSPECT_ADDED,
+                           EVENT_SUSPECT_CLEARED, DetectionRecord, ScenarioConfig)
 from fdisim.sensing import FieldConfig
 
-from conftest import golden_config, run_recorded, write_golden_trace
+from conftest import RefNode, golden_config, run_recorded, slot_records, write_golden_trace
+
+
+class ReferenceWorld:
+    """What ``run_scenario`` reads of a world, with one RefNode per node."""
+
+    def __init__(self, cfg, adjacency, ground_truth, source, crashed):
+        self.cfg = cfg
+        self.adjacency = adjacency
+        self.adjacency_sets = [set(neigh) for neigh in adjacency]
+        self.ground_truth = ground_truth
+        self.source = source
+        self.crashed = crashed
+        self.states = [RefNode(i) for i in range(cfg.n_nodes)]
+        self.round = 0
+        self.pending_alerts = []
+        self.excluded = set()
+        self.blacklisted_union = set()
+        self.global_leaders = set()
+        self.blacklister_count = {}
+        self.total_interactions = 0
+        self.events = []
+        self.snapshots = []
+        self.detections = []
+        self.blacklisted_counts = []
+        self._forge_rngs = {}
+        self._bl_touched = set()
+
+    def forge_rng(self, node_id):
+        if node_id not in self._forge_rngs:
+            self._forge_rngs[node_id] = random.Random(f"{self.cfg.seed}/forge/{node_id}")
+        return self._forge_rngs[node_id]
+
+    def node_is_dead(self, node_id):
+        return node_id in self.crashed and self.round >= self.cfg.crash_round
+
+    def note_blacklisted(self, observer, target):
+        self.blacklisted_union.add(target)
+        if observer in self.adjacency_sets[target]:
+            self.blacklister_count[target] = self.blacklister_count.get(target, 0) + 1
+            self._bl_touched.add(target)
 
 
 def reference_exchange(world, cfg):
+    """Phases 1 and 2: returns the fresh alerts and the unheard senders."""
     rnd = world.round
     states = world.states
     events = world.events
@@ -66,26 +112,98 @@ def reference_exchange(world, cfg):
                 continue
             world.total_interactions += 1
             verdict = handle_data_message(st.table, dm, own, ccfg, rnd)
-            if not watch:
+            if not watch or (verdict and j not in st.suspects):
                 continue
-            if j in st.suspects or not verdict:
-                # the region is rebuilt for every suspected sender
-                region = (build_consensus_region(st, own, dcfg.region_cap)
-                          if j in st.suspects else None)
-                outcome, am, res = process_suspect(
-                    st, j, dm.individual_reading, verdict, region, dcfg, rnd)
-                reading = dm.individual_reading
-                if outcome is SuspectOutcome.ADDED:
-                    events.append((rnd, EVENT_SUSPECT_ADDED, i, j, reading))
-                elif outcome is SuspectOutcome.CLEARED:
-                    events.append((rnd, EVENT_SUSPECT_CLEARED, i, j, reading))
-                elif outcome is SuspectOutcome.DETECTED:
-                    events.append((rnd, EVENT_ATTACKER_DETECTED, i, j, reading))
-                    world._note_blacklisted(i, j)
-                    world.detections.append(DetectionRecord(
-                        rnd, i, j, reading, res.region_sd, res.combined_sd))
-                    fresh_alerts.append(am)
+            # looked up in the engine's namespace, where a test may wrap them
+            region = (engine.build_consensus_region(st, own, dcfg.region_cap)
+                      if j in st.suspects else None)
+            outcome, am, res = engine.process_suspect(
+                st, j, dm.individual_reading, verdict, region, dcfg, rnd)
+            reading = dm.individual_reading
+            if outcome is SuspectOutcome.ADDED:
+                events.append((rnd, EVENT_SUSPECT_ADDED, i, j, reading))
+            elif outcome is SuspectOutcome.CLEARED:
+                events.append((rnd, EVENT_SUSPECT_CLEARED, i, j, reading))
+            elif outcome is SuspectOutcome.DETECTED:
+                events.append((rnd, EVENT_ATTACKER_DETECTED, i, j, reading))
+                world.note_blacklisted(i, j)
+                world.detections.append(DetectionRecord(
+                    rnd, i, j, reading, res.region_sd, res.combined_sd))
+                fresh_alerts.append(am)
     return fresh_alerts, [j for j in range(n) if not valid[j]]
+
+
+def _deliver(world, receiver, am, rnd):
+    st = world.states[receiver]
+    if am.attacker in st.blacklist or world.node_is_dead(receiver):
+        return False
+    forward = handle_alert(st, am, receiver in world.global_leaders, rnd)
+    if am.attacker not in st.blacklist:
+        return False
+    world.note_blacklisted(receiver, am.attacker)
+    return forward
+
+
+def reference_round(world, cfg):
+    rnd = world.round
+    states = world.states
+    events = world.events
+    n = cfg.n_nodes
+
+    fresh_alerts, unheard = reference_exchange(world, cfg)
+
+    # phase 3: scheduled floods first, then fresh detections
+    due = [am for am, when in world.pending_alerts if when <= rnd]
+    world.pending_alerts = [(am, when) for am, when in world.pending_alerts if when > rnd]
+    for am in due:
+        for target in sorted(world.global_leaders):
+            if _deliver(world, target, am, rnd):
+                world.pending_alerts.append((am, rnd + 1))
+                events.append((rnd, EVENT_ALERT_FORWARDED, target, am.attacker,
+                               am.attacker_reading))
+    for am in fresh_alerts:
+        if am.detector in world.global_leaders:
+            world.pending_alerts.append((am, rnd + 1))
+            events.append((rnd, EVENT_ALERT_FORWARDED, am.detector, am.attacker,
+                           am.attacker_reading))
+        for target in sorted(states[am.detector].known_leaders):
+            if target != am.detector and _deliver(world, target, am, rnd):
+                world.pending_alerts.append((am, rnd + 1))
+                events.append((rnd, EVENT_ALERT_FORWARDED, target, am.attacker,
+                               am.attacker_reading))
+    for target in sorted(world._bl_touched):
+        degree = len(world.adjacency[target])
+        if (target not in world.excluded and degree > 0
+                and world.blacklister_count.get(target, 0) >= degree):
+            world.excluded.add(target)
+            events.append((rnd, EVENT_NODE_EXCLUDED, target, None, None))
+    world._bl_touched.clear()
+
+    # phase 4: TTL maintenance over every live node
+    for i in range(n):
+        if i not in world.excluded and not world.node_is_dead(i):
+            prune_ids(states[i].table, unheard, rnd, cfg.cluster)
+
+    # phase 5: election and snapshot over globally non-blacklisted, live nodes
+    excluded = set(world.blacklisted_union)
+    if rnd >= cfg.crash_round:
+        excluded |= world.crashed
+    snapshot = extract_clusters({i: states[i].table.similar for i in range(n)}, rnd,
+                                excluded=excluded)
+    world.snapshots.append(snapshot)
+    world.blacklisted_counts.append(len(world.blacklisted_union))
+    world.global_leaders = snapshot.all_leaders()
+    for st in states:
+        st.known_leaders = frozenset()
+    for members, leads in zip(snapshot.clusters, snapshot.leaders):
+        for m in members:
+            states[m].known_leaders = set(leads)
+    world.round += 1
+
+
+def run_reference(cfg, monkeypatch, **replacements):
+    return run_recorded(cfg, monkeypatch, world_class=ReferenceWorld,
+                        run_round=reference_round, **replacements)
 
 
 def _cfg(**kw):
@@ -112,7 +230,8 @@ CASES = {
               EVENT_ATTACKER_DETECTED),
     # exact readings and a tight consensus threshold convict attackers whose
     # small forged offset still passes the similarity test, so a conviction
-    # removes a similar record and changes the running sums
+    # removes a similar record and the rest of the receiver's pass is solved
+    # again
     "similar-conviction": (lambda _: _cfg(seed=2, sensing=FieldConfig(
         noise_sigma=0.0, spatial_gradient=0.0), detection=DetectionConfig(
         consensus_threshold=0.5)), EVENT_ATTACKER_DETECTED),
@@ -124,50 +243,65 @@ CASES = {
     # round is discarded
     "overflow-discard": (lambda _: ScenarioConfig(n_nodes=30, n_rounds=6, sensing=FieldConfig(
         base_value=1e308, spatial_gradient=0.0)), EVENT_DM_DISCARDED),
+    # 400 nodes at default density: the rows span several phase-2 blocks
+    "multi-block": (lambda _: ScenarioConfig(
+        n_nodes=400, area_width_m=400.0, area_height_m=400.0, n_rounds=8, seed=5,
+        attack=AttackConfig(attack_type="sensitive"), sensing=FieldConfig(noise_sigma=1.5)),
+        EVENT_SUSPECT_CLEARED),
 }
 
 
-def _node_state(world):
-    # repr keeps record order and compares nan and inf sums exactly
-    return [repr((st.table.records, sorted(st.table.similar), st.table._sum_aw,
-                  st.table._sum_w, st.suspects, st.current_reading))
-            for st in world.states]
+def _engine_nodes(world):
+    slots = world.slots
+    return [(slot_records(world, i), sorted(st.table.similar), repr(float(slots.sum_aw[i])),
+             repr(float(slots.sum_w[i])), st.suspects, st.current_reading)
+            for i, st in enumerate(world.states)]
+
+
+def _reference_nodes(world):
+    # repr compares nan and inf sums exactly
+    return [(st.table.records, sorted(st.table.similar), repr(st.table._sum_aw),
+             repr(st.table._sum_w), st.suspects, st.current_reading) for st in world.states]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_flattened_round_matches_reference(case, tmp_path, monkeypatch):
     make_cfg, must_see = CASES[case]
     flat, flat_world = run_recorded(make_cfg(tmp_path), monkeypatch)
-    ref, ref_world = run_recorded(make_cfg(tmp_path), monkeypatch, _exchange=reference_exchange)
+    ref, ref_world = run_reference(make_cfg(tmp_path), monkeypatch)
     assert must_see in {e[1] for e in ref.events}
+    if case == "multi-block":
+        assert flat_world.slots.nbr.size > 2 * engine._ADJACENCY_BLOCK_CELLS
     assert flat.events == ref.events
     assert flat.snapshots == ref.snapshots
     assert flat.detections == ref.detections
     assert flat.node_blacklists == ref.node_blacklists
     assert flat.total_interactions == ref.total_interactions
-    assert _node_state(flat_world) == _node_state(ref_world)
+    assert _engine_nodes(flat_world) == _reference_nodes(ref_world)
 
 
-@pytest.mark.parametrize("case", ["churn", "crash", "fdi", "mixed-verdicts", "sensitive",
-                                  "similar-conviction"])
+@pytest.mark.parametrize("case", ["churn", "crash", "fdi", "mixed-verdicts", "multi-block",
+                                  "sensitive", "similar-conviction"])
 def test_reused_region_equals_a_fresh_build(case, tmp_path, monkeypatch):
-    """Every consensus check sees the region a fresh build of the receiver's
-    current state would give, float for float, although the engine reuses
-    one region across checks while its inputs hold."""
-    seen = {"checks": 0, "reused": 0}
-    last = []
+    """Every consensus check gets, float for float, the region the
+    reference round builds fresh at the same (round, receiver, sender),
+    although the engine reuses one region across checks while its inputs
+    hold and reads last round's state above the slot."""
 
-    def checked(state, sender, reading, verdict, region, cfg, rnd):
-        if sender in state.suspects:
-            fresh = build_consensus_region(state, state.current_reading, cfg.region_cap)
-            assert region == fresh, (rnd, state.node_id, sender)
-            seen["checks"] += 1
-            seen["reused"] += bool(last) and region is last[0]
-            last[:] = [region]
-        return process_suspect(state, sender, reading, verdict, region, cfg, rnd)
+    def recording(regions):
+        def checked(state, sender, reading, verdict, region, cfg, rnd):
+            if sender in state.suspects:
+                regions[(rnd, state.node_id, sender)] = region
+            return process_suspect(state, sender, reading, verdict, region, cfg, rnd)
+        return checked
 
-    run_recorded(CASES[case][0](tmp_path), monkeypatch, process_suspect=checked)
-    assert seen["checks"] > seen["reused"]
+    flat, ref = {}, {}
+    run_recorded(CASES[case][0](tmp_path), monkeypatch, process_suspect=recording(flat))
+    run_reference(CASES[case][0](tmp_path), monkeypatch, process_suspect=recording(ref))
+    assert flat == ref
+    # a region handed to two checks is one reused object
+    reused = len(flat) - len({id(region) for region in flat.values()})
+    assert len(flat) > reused
     # a churn receiver seldom checks two suspects in one pass, so its run
     # may reuse no region; each other case does
-    assert seen["reused"] > 0 or case == "churn"
+    assert reused > 0 or case == "churn"
