@@ -126,7 +126,7 @@ def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy float's own repr names its type
     return str(value)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .domain import AlertMessage, require_finite, validate_alert_message
 
@@ -109,7 +109,8 @@ def process_suspect(state, sender: int, reading: float, similar_verdict: bool,
     similarity test (``similar_verdict`` False). A sender already under
     suspicion is put through the consensus filter with its newest reading
     against ``region``, the detector's current consensus region: conviction
-    moves it to the blacklist and emits an alert, acquittal clears it, an
+    moves it to the blacklist and emits an alert (the caller forgets its
+    neighbor record), acquittal clears it, an
     invalid region leaves it pending. Any other sender is dissimilar and is
     added to the suspect list. ``region`` is read only for a sender already
     suspected and may be None otherwise.
@@ -120,7 +121,6 @@ def process_suspect(state, sender: int, reading: float, similar_verdict: bool,
         if result.outcome is ClassifyOutcome.ATTACKER:
             del suspects[sender]
             state.blacklist[sender] = BlacklistEntry(rnd, state.node_id, reading)
-            state.table.remove(sender)
             return (SuspectOutcome.DETECTED,
                     AlertMessage(detector=state.node_id, attacker=sender, attacker_reading=reading),
                     result)
@@ -135,8 +135,8 @@ def process_suspect(state, sender: int, reading: float, similar_verdict: bool,
 def handle_alert(state, am: AlertMessage, is_leader: bool, rnd: int) -> bool:
     """Apply an alert to one node's state.
 
-    The attacker is blacklisted and purged from the neighbor table, similar
-    set and suspect list. Returns True when the receiving node is a leader
+    The attacker is blacklisted and dropped from the suspect list; the
+    caller forgets its neighbor record. Returns True when the receiving node is a leader
     and the entry was new, i.e. the alert should go out on the leader
     overlay; duplicates change nothing and are never re-forwarded.
     """
@@ -145,25 +145,25 @@ def handle_alert(state, am: AlertMessage, is_leader: bool, rnd: int) -> bool:
     if am.attacker in state.blacklist:
         return False
     state.blacklist[am.attacker] = BlacklistEntry(rnd, am.detector, am.attacker_reading)
-    state.table.remove(am.attacker)
     state.suspects.pop(am.attacker, None)
     return is_leader
 
 
-def build_consensus_region(state, own_reading: float, cap: int) -> ConsensusRegion:
+def build_consensus_region(state, own_reading: float, similar: Iterable[Tuple[int, float]],
+                           cap: int) -> ConsensusRegion:
     """Assemble the detector's region: its own reading plus the latest
-    individual readings of up to ``cap`` similar neighbors, lowest ids
-    first, skipping anything currently suspected or blacklisted."""
+    individual readings of up to ``cap`` of its ``similar`` neighbors, given
+    as (id, reading) pairs in ascending id order, skipping anything
+    currently suspected or blacklisted."""
     values = [own_reading]
     ids: List[int] = []
     suspects = state.suspects
     blacklist = state.blacklist
-    table = state.table
-    for nid in sorted(table.similar):
+    for nid, reading in similar:
         if len(ids) >= cap:
             break
         if nid in suspects or nid in blacklist:
             continue
-        values.append(table.reading(nid))
+        values.append(reading)
         ids.append(nid)
     return ConsensusRegion(values, tuple(ids))

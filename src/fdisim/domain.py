@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 
 def is_finite_reading(value) -> bool:
@@ -62,7 +63,7 @@ def validate_data_message(msg: DataMessage) -> bool:
 def validate_alert_message(msg: AlertMessage) -> bool:
     """True to accept. Incomplete alerts and self-accusations are discarded."""
     for nid in (msg.detector, msg.attacker):
-        if not isinstance(nid, int) or isinstance(nid, bool) or nid < 0:
+        if not isinstance(nid, Integral) or isinstance(nid, bool) or nid < 0:
             return False
     if msg.detector == msg.attacker:
         return False

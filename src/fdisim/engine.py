@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress
 from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -123,53 +123,30 @@ class NeighborSlots:
         k = bisect_left(neigh, j)
         return k if k < len(neigh) and neigh[k] == j else None
 
-
-class SlotTable:
-    """One receiver's neighbor table as a view of its row of the slot
-    arrays, with the members detection uses of a NeighborTable: ``similar``,
-    ``reading`` and ``remove``. The engine keeps ``similar`` equal to the
-    ids whose similar flag is set."""
-
-    __slots__ = ("slots", "row", "similar")
-
-    def __init__(self, slots: NeighborSlots, row: int) -> None:
-        self.slots = slots
-        self.row = row
-        self.similar: Set[int] = set()
-
-    def reading(self, sender: int) -> float:
-        """The individual reading of the record held of a neighbor."""
-        s, i = self.slots, self.row
-        return s.rec_x.item(i, bisect_left(s.adjacency[i], sender))
-
-    def remove(self, sender: int) -> None:
-        """Forget a neighbor entirely (blacklist purge, staleness)."""
-        s, i = self.slots, self.row
-        k = s.slot(i, sender)
-        if k is None:
-            return
-        if s.flag[i, k]:
-            s.flag[i, k] = False
-            s.sum_aw[i] -= s.rec_a[i, k] * s.rec_c[i, k]
-            s.sum_w[i] -= s.rec_c[i, k]
-        self.similar.discard(sender)
-        s.seen[i, k] = NO_RECORD
+    def forget(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Forget the records in the given cells (blacklist purge,
+        staleness). A similar one leaves its receiver's sums, subtracted
+        one cell at a time in the order given."""
+        similar = self.flag[rows, cols]
+        if similar.any():
+            r, k = rows[similar], cols[similar]
+            np.subtract.at(self.sum_aw, r, self.rec_a[r, k] * self.rec_c[r, k])
+            np.subtract.at(self.sum_w, r, self.rec_c[r, k])
+        self.flag[rows, cols] = False
+        self.seen[rows, cols] = NO_RECORD
 
 
 class NodeState:
-    """One node's protocol state; its neighbor table is a view of its row of
+    """One node's protocol state; its neighbor records live in its row of
     the world's slot arrays."""
 
-    __slots__ = ("node_id", "table", "suspects", "blacklist", "known_leaders",
-                 "current_reading")
+    __slots__ = ("node_id", "suspects", "blacklist", "known_leaders")
 
-    def __init__(self, node_id: int, table: SlotTable) -> None:
+    def __init__(self, node_id: int) -> None:
         self.node_id = node_id
-        self.table = table
         self.suspects: Dict[int, SuspectEntry] = {}
         self.blacklist: Dict[int, BlacklistEntry] = {}
         self.known_leaders: AbstractSet[int] = frozenset()
-        self.current_reading = 0.0
 
 
 @dataclass(slots=True)
@@ -195,7 +172,6 @@ class RunResult:
     node_blacklists: List[Dict[int, BlacklistEntry]]
     confusion: ConfusionCounts
     report: MetricsReport
-    total_interactions: int
     ground_truth: GroundTruth
 
 
@@ -245,7 +221,10 @@ class WorldState:
         self.source = source
         self.crashed = crashed
         self.slots = NeighborSlots(adjacency)
-        self.states = [NodeState(i, SlotTable(self.slots, i)) for i in range(cfg.n_nodes)]
+        self.states = [NodeState(i) for i in range(cfg.n_nodes)]
+        # each node's similar set as phase 5 last took it from the flags
+        self.similar_sets: Dict[int, Set[int]] = {i: set() for i in range(cfg.n_nodes)}
+        self.snapshot_flag = self.slots.flag.copy()
         self.round = 0
         self.pending_alerts: List[Tuple[AlertMessage, int]] = []
         self.excluded: Set[int] = set()
@@ -286,6 +265,7 @@ class WorldState:
         if k is not None:
             self.slots.blocked[observer, k] = True
             self.slots.suspected[observer, k] = False
+            self.slots.forget(np.array([observer]), np.array([k]))
             self.blacklister_count[target] = self.blacklister_count.get(target, 0) + 1
             self._bl_touched.add(target)
 
@@ -360,7 +340,7 @@ class _Block:
     the readings and last-seen rounds the records end the pass with."""
 
     __slots__ = ("lo", "own", "nbr", "x", "a", "c", "prev", "part", "discarded",
-                 "suspected", "verdict", "cum_aw", "cum_w", "rec_x", "seen", "steady", "moved")
+                 "suspected", "verdict", "cum_aw", "cum_w", "rec_x", "seen", "steady")
 
     def walk_entries(self, cells: np.ndarray) -> List[tuple]:
         """Per given cell (row * width + slot): the slot, the sender, its
@@ -372,10 +352,8 @@ class _Block:
                         self.discarded.take(cells).tolist()))
 
     def note_verdicts(self) -> None:
-        """Per slot, the similar, unsuspected slots below it, and whether
-        the pass changes the slot's flag."""
+        """Per slot, the similar, unsuspected slots below it."""
         self.steady = np.cumsum(self.part & self.verdict & ~self.suspected, axis=1)
-        self.moved = self.part & (self.verdict != self.prev)
 
 
 def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage], List[int]]:
@@ -388,7 +366,6 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
     """
     rnd = world.round
     n = cfg.n_nodes
-    states = world.states
     slots = world.slots
     cthresh = cfg.cluster.cthresh
     attackers = world.ground_truth.attackers
@@ -399,8 +376,6 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
     aggregate = (own + slots.sum_aw) / (1.0 + slots.sum_w)
     reading = own.copy()
     ids = np.flatnonzero(live).tolist()
-    for i, value in zip(ids, own[live].tolist()):
-        states[i].current_reading = value
     if attackers and attack_is_active(rnd, cfg.attack):
         for i in sorted(attackers):
             if live[i]:
@@ -461,13 +436,6 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
         slots.seen[lo:hi] = b.seen
         np.copyto(slots.sum_aw[lo:hi], b.cum_aw[:, -1], where=live[lo:hi])
         np.copyto(slots.sum_w[lo:hi], b.cum_w[:, -1], where=live[lo:hi])
-        rows, cols = np.nonzero(flag != prev)
-        for r, j, on in zip(rows.tolist(), nbr[rows, cols].tolist(), flag[rows, cols].tolist()):
-            similar = states[lo + r].table.similar
-            if on:
-                similar.add(j)
-            else:
-                similar.discard(j)
     return fresh_alerts, np.flatnonzero(~valid).tolist()
 
 
@@ -477,12 +445,11 @@ def _walk_row(world: WorldState, cfg: ScenarioConfig, b: _Block, r: int, entries
     discarded message, detection for a dissimilar or suspected sender.
 
     Detection sees the receiver as its sequential pass has it at the slot:
-    this round's records and flags at or below the slot, last round's above
-    it. Readings and the similar set are brought up to the slot before a
-    consensus region is built; the running sums in ``slots`` are stale until
-    the block ends. The region is kept until one of its inputs changes: a
-    similar, unsuspected slot within its reach is refreshed or enters, a
-    member turns dissimilar, or a suspect is cleared.
+    this round's readings and flags at or below the slot, last round's above
+    it; the running sums in ``slots`` are stale until the block ends. The
+    consensus region is kept until one of its inputs changes: a similar,
+    unsuspected slot within its reach is refreshed or enters, a member turns
+    dissimilar, or a suspect is cleared.
     """
     rnd = world.round
     slots = world.slots
@@ -490,14 +457,13 @@ def _walk_row(world: WorldState, cfg: ScenarioConfig, b: _Block, r: int, entries
     st = world.states[i]
     events = world.events
     dcfg = cfg.detection
-    own = st.current_reading
+    own = b.own.item(r)
     pending = SuspectOutcome.PENDING
     region = None
     reach = 0      # similar slots below this one are in the region or can enter it
     last = -1      # the slot walked last
-    synced = 0     # readings and similar set are current below this slot
     steady = None  # per slot: similar, unsuspected slots below it
-    moved = None   # slots from synced on whose flag this pass changes, last first
+    row = None     # the row's ids, then its readings and flags after and before the pass
     while entries:
         todo, entries = entries, None
         for k, j, x, similar_now, suspected, discarded in todo:
@@ -515,17 +481,14 @@ def _walk_row(world: WorldState, cfg: ScenarioConfig, b: _Block, r: int, entries
                         region = None
             last = k
             if region is None and suspected:
-                slots.rec_x[i, synced:k + 1] = b.rec_x[r, synced:k + 1]
-                if moved is None:
-                    moved = (np.flatnonzero(b.moved[r, synced:]) + synced).tolist()[::-1]
-                while moved and moved[-1] <= k:
-                    t = moved.pop()
-                    if b.verdict[r, t]:
-                        st.table.similar.add(b.nbr.item(r, t))
-                    else:
-                        st.table.similar.discard(b.nbr.item(r, t))
-                synced = k + 1
-                region = build_consensus_region(st, own, dcfg.region_cap)
+                if row is None:
+                    row = (b.nbr[r].tolist(), b.rec_x[r].tolist(), slots.rec_x[i].tolist(),
+                           np.where(b.part[r], b.verdict[r], b.prev[r]).tolist(),
+                           b.prev[r].tolist())
+                ids, new_x, old_x, new, old = row
+                s = k + 1
+                similar = compress(zip(ids, new_x[:s] + old_x[s:]), new[:s] + old[s:])
+                region = build_consensus_region(st, own, similar, dcfg.region_cap)
                 reach = (slots.slot(i, region.ids[-1]) + 1
                          if len(region.ids) == dcfg.region_cap else b.nbr.shape[1])
             outcome, am, res = process_suspect(st, j, x, similar_now, region, dcfg, rnd)
@@ -548,7 +511,7 @@ def _walk_row(world: WorldState, cfg: ScenarioConfig, b: _Block, r: int, entries
                 b.seen[r, k] = NO_RECORD
                 if similar_now:
                     entries = _solve_rest(b, r, k, slots, cfg.cluster.cthresh)
-                    steady = moved = None
+                    steady = row = None
                     break
 
 
@@ -575,7 +538,7 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
     rnd = world.round
     states = world.states
     events = world.events
-    n = cfg.n_nodes
+    slots = world.slots
 
     fresh_alerts, unheard = _exchange(world, cfg)
 
@@ -618,21 +581,25 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
     # phase 4: TTL maintenance; only unheard senders can have gone stale, and
     # a live receiver drops its stale records in slot order
     if unheard:
-        slots = world.slots
         stale = slots.seen < rnd - cfg.cluster.neighbor_ttl_rounds
         stale &= world.live_mask()[:, None]
-        rows, _ = np.nonzero(stale & slots.flag)
-        for i, j in zip(rows.tolist(), slots.nbr[stale & slots.flag].tolist()):
-            states[i].table.remove(j)
-        slots.seen[stale] = NO_RECORD
+        slots.forget(*np.nonzero(stale))
 
     # phase 5: election and snapshot over globally non-blacklisted nodes;
-    # dead nodes hold frozen state and cannot be cluster participants
-    similar_sets = {i: states[i].table.similar for i in range(n)}
+    # dead nodes hold frozen state and cannot be cluster participants; the
+    # similar sets follow the flags that changed since the last snapshot
+    rows, cols = np.nonzero(slots.flag != world.snapshot_flag)
+    for i, j, on in zip(rows.tolist(), slots.nbr[rows, cols].tolist(),
+                        slots.flag[rows, cols].tolist()):
+        if on:
+            world.similar_sets[i].add(j)
+        else:
+            world.similar_sets[i].discard(j)
+    np.copyto(world.snapshot_flag, slots.flag)
     snapshot_excluded = world.blacklisted_union
     if world.crashed and rnd >= cfg.crash_round:
         snapshot_excluded = snapshot_excluded | world.crashed
-    snapshot = extract_clusters(similar_sets, rnd, excluded=snapshot_excluded)
+    snapshot = extract_clusters(world.similar_sets, rnd, excluded=snapshot_excluded)
     world.snapshots.append(snapshot)
     world.blacklisted_counts.append(len(world.blacklisted_union))
     world.global_leaders = set()
@@ -695,6 +662,5 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         node_blacklists=[st.blacklist for st in world.states],
         confusion=confusion,
         report=report,
-        total_interactions=world.total_interactions,
         ground_truth=ground_truth,
     )

@@ -105,7 +105,6 @@ class MetricsReport:
     clusters_total_mean: float
     clusters_attacker_free_mean: float
     fn_count_paper: int
-    total_interactions: int
 
 
 def cluster_availability(snapshots: Sequence[ClusterSnapshot], ground_truth: GroundTruth,
@@ -140,7 +139,6 @@ def build_report(c: ConfusionCounts, availability: Sequence[Tuple[int, int, int]
         clusters_total_mean=sum(r[1] for r in availability) / n_rounds,
         clusters_attacker_free_mean=sum(r[2] for r in availability) / n_rounds,
         fn_count_paper=fn_count_paper(c),
-        total_interactions=c.total_interactions,
     )
 
 

@@ -44,34 +44,8 @@ def synth_reading(position: Sequence[float], rnd: int, cfg: FieldConfig,
     return cfg.base_value + cfg.drift_per_round * rnd + cfg.spatial_gradient * (x + y) + noise
 
 
-class SynthField:
-    """Precomputed reading matrix for one run.
-
-    Noise is drawn once from a stream keyed by the scenario seed, so a
-    reading depends only on (seed, node, round), never on evaluation order.
-    """
-
-    def __init__(self, cfg: FieldConfig, positions: Sequence[Sequence[float]],
-                 n_rounds: int, seed: int) -> None:
-        cfg.validate()
-        n = len(positions)
-        self.n_nodes = n
-        self.n_rounds = n_rounds
-        rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, _NOISE_STREAM])
-        noise = rng.normal(0.0, cfg.noise_sigma, size=(n_rounds, n)) if cfg.noise_sigma > 0 \
-            else np.zeros((n_rounds, n))
-        # base + drift * round + gradient * (x + y), evaluated in that order
-        temporal = cfg.base_value + cfg.drift_per_round * np.arange(n_rounds, dtype=float)
-        spatial = cfg.spatial_gradient * np.array([p[0] + p[1] for p in positions],
-                                                  dtype=float)
-        self.values = (temporal[:, None] + spatial) + noise
-
-    def reading(self, node_id: int, rnd: int) -> float:
-        return float(self.values[rnd, node_id])
-
-
 class TraceTable:
-    """Dense externally supplied readings: one value per (round, node)."""
+    """Dense readings, one value per (round, node): a run's reading source."""
 
     def __init__(self, values: np.ndarray) -> None:
         self.values = values
@@ -80,6 +54,24 @@ class TraceTable:
 
     def reading(self, node_id: int, rnd: int) -> float:
         return float(self.values[rnd, node_id])
+
+
+def SynthField(cfg: FieldConfig, positions: Sequence[Sequence[float]], n_rounds: int,
+               seed: int) -> TraceTable:
+    """Precomputed synthetic readings for one run.
+
+    Noise is drawn once from a stream keyed by the scenario seed, so a
+    reading depends only on (seed, node, round), never on evaluation order.
+    """
+    cfg.validate()
+    n = len(positions)
+    rng = np.random.default_rng([int(seed) & 0xFFFFFFFF, _NOISE_STREAM])
+    noise = rng.normal(0.0, cfg.noise_sigma, size=(n_rounds, n)) if cfg.noise_sigma > 0 \
+        else np.zeros((n_rounds, n))
+    # base + drift * round + gradient * (x + y), evaluated in that order
+    temporal = cfg.base_value + cfg.drift_per_round * np.arange(n_rounds, dtype=float)
+    spatial = cfg.spatial_gradient * np.array([p[0] + p[1] for p in positions], dtype=float)
+    return TraceTable((temporal[:, None] + spatial) + noise)
 
 
 def load_trace(path: str) -> TraceTable:

@@ -52,7 +52,6 @@ class RefNode:
         self.suspects = {}
         self.blacklist = {}
         self.known_leaders = frozenset()
-        self.current_reading = 0.0
 
 
 def similar_table(neighbors) -> NeighborTable:

@@ -3,9 +3,10 @@
 import csv
 import os
 
+import numpy as np
 import pytest
 
-from fdisim.cli import (_CONFIG_KEYS, EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRACE, main,
+from fdisim.cli import (_CONFIG_KEYS, EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_TRACE, _fmt, main,
                         parse_config, run_sweep, scenario_id)
 from fdisim.engine import ConfigError, ScenarioConfig
 
@@ -83,6 +84,11 @@ def test_overrides_win_over_file(tmp_path):
     path.write_text("n_nodes = 50\n", encoding="utf-8")
     cfg = parse_config(str(path), {"n_nodes": "120"})
     assert cfg.n_nodes == 120
+
+
+def test_fmt_writes_numpy_floats_as_plain_numbers():
+    assert _fmt(np.float64(1.5)) == "1.5"
+    assert float(_fmt(np.float64(0.1))) == 0.1
 
 
 def test_scenario_id_shape():

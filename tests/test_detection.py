@@ -132,10 +132,14 @@ def test_classify_monotone_in_distance_from_mean():
 def _node_with_similar(node_id, own, neighbor_readings, rnd=0):
     cfg = ClusterConfig(cthresh=3.0)
     st = RefNode(node_id)
-    st.current_reading = own
     for i, reading in enumerate(neighbor_readings, start=100):
         handle_data_message(st.table, DataMessage(i, reading, reading, 1), own, cfg, rnd)
     return st
+
+
+def _similar(st):
+    """A reference node's similar neighbors as (id, reading), ascending id."""
+    return [(nid, st.table.reading(nid)) for nid in sorted(st.table.similar)]
 
 
 def test_process_suspect_add_then_detect():
@@ -146,7 +150,7 @@ def test_process_suspect_add_then_detect():
     assert outcome is SuspectOutcome.ADDED and am is None
     assert 9 in st.suspects and st.suspects[9].first_flag_round == 1
 
-    region = build_consensus_region(st, 16.0, dcfg.region_cap)
+    region = build_consensus_region(st, 16.0, _similar(st), dcfg.region_cap)
     outcome, am, res = process_suspect(st, 9, 45.0, False, region, dcfg, 2)
     assert outcome is SuspectOutcome.DETECTED
     assert am == AlertMessage(detector=0, attacker=9, attacker_reading=45.0)
@@ -159,7 +163,7 @@ def test_process_suspect_cleared_when_back_in_consensus():
     dcfg = DetectionConfig(consensus_threshold=5.0)
     st = _node_with_similar(0, 16.0, [14.0, 15.0, 17.0, 18.0])
     st.suspects[9] = SuspectEntry(first_flag_round=0)
-    region = build_consensus_region(st, 16.0, dcfg.region_cap)
+    region = build_consensus_region(st, 16.0, _similar(st), dcfg.region_cap)
     outcome, am, res = process_suspect(st, 9, 22.0, False, region, dcfg, 1)
     assert outcome is SuspectOutcome.CLEARED
     assert 9 not in st.suspects and 9 not in st.blacklist
@@ -169,7 +173,7 @@ def test_process_suspect_pending_on_invalid_region():
     dcfg = DetectionConfig(consensus_threshold=5.0)
     st = _node_with_similar(0, 16.0, [])  # no similar neighbors at all
     st.suspects[9] = SuspectEntry(first_flag_round=0)
-    region = build_consensus_region(st, 16.0, dcfg.region_cap)
+    region = build_consensus_region(st, 16.0, _similar(st), dcfg.region_cap)
     outcome, am, res = process_suspect(st, 9, 45.0, False, region, dcfg, 1)
     assert outcome is SuspectOutcome.PENDING
     assert 9 in st.suspects and 9 not in st.blacklist
@@ -179,8 +183,7 @@ def test_build_consensus_region_caps_and_skips():
     st = _node_with_similar(0, 16.0, [14.0, 15.0, 15.5, 16.5, 17.0, 17.5, 18.0])
     st.suspects[100] = SuspectEntry(0)   # first similar neighbor is suspect
     st.blacklist[101] = BlacklistEntry(0, 0, 15.0)
-    st.table.remove(101)
-    region = build_consensus_region(st, 16.0, cap=3)
+    region = build_consensus_region(st, 16.0, _similar(st), cap=3)
     # own reading plus the three lowest-id eligible similar neighbors
     assert region.values == [16.0, 15.5, 16.5, 17.0]
     assert region.ids == (102, 103, 104)
@@ -188,13 +191,12 @@ def test_build_consensus_region_caps_and_skips():
 
 
 def test_handle_alert_new_entry_and_forwarding():
-    st = _node_with_similar(4, 16.0, [15.0])
-    victim = 100  # present in the similar set from the helper
+    st = RefNode(4)
+    victim = 100
     st.suspects[victim] = SuspectEntry(0)
     am = AlertMessage(detector=1, attacker=victim, attacker_reading=45.0)
     assert handle_alert(st, am, is_leader=True, rnd=3) is True
     assert victim in st.blacklist
-    assert victim not in st.table.records and victim not in st.table.similar
     assert victim not in st.suspects
 
 

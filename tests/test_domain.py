@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from fdisim.domain import (AlertMessage, DataMessage, NodeLabel, transition_label,
@@ -60,6 +61,12 @@ def test_self_accusation_discarded():
 def test_alert_missing_reading_discarded():
     assert not validate_alert_message(AlertMessage(detector=2, attacker=7,
                                                    attacker_reading=None))
+
+
+def test_alert_numpy_ids_accepted_bool_ids_rejected():
+    assert validate_alert_message(AlertMessage(np.int64(1), np.int64(2), 3.0))
+    assert not validate_alert_message(AlertMessage(True, 2, 3.0))
+    assert not validate_alert_message(AlertMessage(np.int64(1), np.bool_(True), 3.0))
 
 
 LEGAL = {

@@ -5,6 +5,7 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 import fdisim.engine as engine
@@ -303,7 +304,7 @@ def test_overflowing_aggregates_are_discarded():
     assert len(discarded) == 1800 == 4 * degree_sum
     assert {e[0] for e in discarded} == {2, 3, 4, 5}
     assert all(e[4] is None for e in discarded)
-    assert result.total_interactions == 2 * degree_sum
+    assert result.confusion.total_interactions == 2 * degree_sum
 
 
 def test_discarded_senders_are_pruned_within_ttl(monkeypatch):
@@ -380,3 +381,27 @@ def test_doubling_reading_units_doubles_every_reading(attack):
     assert twice.availability == base.availability
     assert twice.blacklisted_counts == base.blacklisted_counts
     assert twice.confusion == base.confusion
+
+
+def test_alert_forgets_the_attackers_slot(monkeypatch):
+    """A receiver that takes an alert about a similar neighbor drops the
+    neighbor's record and flag, and its running sums lose the neighbor's
+    aggregate, by one subtraction each."""
+    cfg = small_cfg(n_rounds=5, attacker_fraction=0.0)
+    _, world = run_recorded(cfg, monkeypatch)
+    slots = world.slots
+    i, k = (int(v) for v in np.argwhere(slots.flag)[0])
+    j = slots.nbr.item(i, k)
+    aw, w = slots.sum_aw.item(i), slots.sum_w.item(i)
+    a, c = slots.rec_a.item(i, k), slots.rec_c.item(i, k)
+    detector = next(d for d in range(cfg.n_nodes) if d not in (i, j))
+    am = engine.AlertMessage(detector=detector, attacker=j, attacker_reading=45.0)
+    engine._deliver_alert(world, i, am, world.round)
+    assert j in world.states[i].blacklist
+    assert j not in slot_records(world, i)
+    assert not slots.flag[i, k] and slots.blocked[i, k]
+    assert slots.sum_aw.item(i) == aw - a * c and slots.sum_w.item(i) == w - c
+    rest = slots.flag[i]
+    assert slots.sum_aw.item(i) == pytest.approx(float(np.sum(slots.rec_a[i, rest] *
+                                                              slots.rec_c[i, rest])))
+    assert slots.sum_w.item(i) == float(np.sum(slots.rec_c[i, rest]))

@@ -66,6 +66,7 @@ class ReferenceWorld:
         if observer in self.adjacency_sets[target]:
             self.blacklister_count[target] = self.blacklister_count.get(target, 0) + 1
             self._bl_touched.add(target)
+        self.states[observer].table.remove(target)
 
 
 def reference_exchange(world, cfg):
@@ -81,12 +82,12 @@ def reference_exchange(world, cfg):
 
     emissions: List[Optional[DataMessage]] = [None] * n
     valid = [False] * n
+    own_readings = [world.source.reading(i, rnd) for i in range(n)]
     for i in range(n):
         if i in world.excluded or world.node_is_dead(i):
             continue
         st = states[i]
-        true_reading = world.source.reading(i, rnd)
-        st.current_reading = true_reading
+        true_reading = own_readings[i]
         dm = build_data_message(i, true_reading, st.table)
         if gt.is_attacker(i) and attack_is_active(rnd, acfg):
             forged = forge_reading(true_reading, dm.aggregate_reading, acfg, ccfg.cthresh,
@@ -101,7 +102,7 @@ def reference_exchange(world, cfg):
         if i in world.excluded or world.node_is_dead(i):
             continue
         st = states[i]
-        own = st.current_reading
+        own = own_readings[i]
         watch = dcfg.detection_enabled and not gt.is_attacker(i)
         for j in world.adjacency[i]:
             dm = emissions[j]
@@ -115,7 +116,8 @@ def reference_exchange(world, cfg):
             if not watch or (verdict and j not in st.suspects):
                 continue
             # looked up in the engine's namespace, where a test may wrap them
-            region = (engine.build_consensus_region(st, own, dcfg.region_cap)
+            similar = [(s, st.table.reading(s)) for s in sorted(st.table.similar)]
+            region = (engine.build_consensus_region(st, own, similar, dcfg.region_cap)
                       if j in st.suspects else None)
             outcome, am, res = engine.process_suspect(
                 st, j, dm.individual_reading, verdict, region, dcfg, rnd)
@@ -253,15 +255,15 @@ CASES = {
 
 def _engine_nodes(world):
     slots = world.slots
-    return [(slot_records(world, i), sorted(st.table.similar), repr(float(slots.sum_aw[i])),
-             repr(float(slots.sum_w[i])), st.suspects, st.current_reading)
+    return [(slot_records(world, i), slots.nbr[i, slots.flag[i]].tolist(),
+             repr(float(slots.sum_aw[i])), repr(float(slots.sum_w[i])), st.suspects)
             for i, st in enumerate(world.states)]
 
 
 def _reference_nodes(world):
     # repr compares nan and inf sums exactly
     return [(st.table.records, sorted(st.table.similar), repr(st.table._sum_aw),
-             repr(st.table._sum_w), st.suspects, st.current_reading) for st in world.states]
+             repr(st.table._sum_w), st.suspects) for st in world.states]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -276,7 +278,7 @@ def test_flattened_round_matches_reference(case, tmp_path, monkeypatch):
     assert flat.snapshots == ref.snapshots
     assert flat.detections == ref.detections
     assert flat.node_blacklists == ref.node_blacklists
-    assert flat.total_interactions == ref.total_interactions
+    assert flat.confusion.total_interactions == ref.confusion.total_interactions
     assert _engine_nodes(flat_world) == _reference_nodes(ref_world)
 
 

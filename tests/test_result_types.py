@@ -1,8 +1,8 @@
 """A run's results carry built-in scalars only, never numpy ones.
 
-A numpy scalar slips through silently: ``cli._fmt`` writes a np.float64 as
-``np.float64(1.5)`` into summary.csv and raw/metrics.csv, and
-``validate_alert_message`` rejects an alert whose ids are np.int64.
+The reports stay plain and the pickled results small. ``cli._fmt`` and
+``validate_alert_message`` also take numpy scalars; ``test_cli`` and
+``test_domain`` pin that.
 """
 
 import dataclasses
@@ -52,7 +52,7 @@ def test_results_hold_builtin_scalars(case, monkeypatch):
     values += [v for am in alerts for v in (am.detector, am.attacker, am.attacker_reading)]
     values += [m for snap in result.snapshots for members in snap.clusters + snap.leaders
                for m in members]
-    values += [result.total_interactions]
+    values += [result.confusion.total_interactions]
     assert values
     assert {type(v) for v in values} <= set(BUILTIN)
     if case != "overflow-discard":
