@@ -3,8 +3,11 @@ tables, leader election and per-round cluster extraction."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+
+import numpy as np
 
 from .domain import DataMessage, require_finite
 
@@ -145,17 +148,6 @@ def prune_ids(table: NeighborTable, candidates: Iterable[int], rnd: int, cfg: Cl
             table.remove(nid)
 
 
-def elect_leaders(counts: Mapping[int, int]) -> Set[int]:
-    """Every node whose similar-neighbor count ties the maximum is a leader.
-
-    Deterministic and invariant under the mapping's iteration order.
-    """
-    if not counts:
-        return set()
-    top = max(counts.values())
-    return {nid for nid, c in counts.items() if c == top}
-
-
 @dataclass
 class ClusterSnapshot:
     """Per-round clustering state: disjoint clusters (each >= 2 members, as
@@ -172,37 +164,111 @@ class ClusterSnapshot:
         return out
 
 
-def extract_clusters(similar_sets: Mapping[int, Set[int]], rnd: int,
-                     excluded: Set[int] = frozenset()) -> ClusterSnapshot:
+class SimilarGraph(Mapping):
+    """Every node's similar neighbors, read from ``(n, maxdeg)`` slot arrays:
+    slot k of row i holds neighbor ``nbr[i, k]``, similar to i where
+    ``flag[i, k]``, and ``rev[i, k]`` is the flat cell of i in that
+    neighbor's row (a cell past i's degree maps to itself and is never
+    flagged). A live view: ``graph[i]`` is the set the flags hold when asked.
+
+    It also keeps what ``extract_clusters`` last took from it: the flags and
+    excluded set it solved, the snapshot, and every node's component label.
+    """
+
+    def __init__(self, nbr: np.ndarray, flag: np.ndarray, rev: np.ndarray) -> None:
+        n = len(nbr)
+        self.nbr, self.flag, self.rev = nbr, flag, rev
+        self.upper = nbr > np.arange(n)[:, None]  # slots whose edge runs to a larger id
+        self.label = np.arange(n)
+        self.solved: Optional[Tuple[np.ndarray, FrozenSet[int], ClusterSnapshot]] = None
+        self._leaders: Dict[int, Tuple[int, ...]] = {}
+
+    def __getitem__(self, node: int) -> Set[int]:
+        if not 0 <= node < len(self.nbr):
+            raise KeyError(node)
+        return set(self.nbr[node, self.flag[node]].tolist())
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self.nbr)))
+
+    def __len__(self) -> int:
+        return len(self.nbr)
+
+    def leaders_of(self, node: int) -> Tuple[int, ...]:
+        """The leaders of node's cluster in the last snapshot extracted from
+        this graph; () if node was in no cluster."""
+        return self._leaders.get(int(self.label[node]), ())
+
+
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per node, the smallest node of its connected component over the
+    edges (u, v).
+
+    Hooking and pointer jumping: each node starts as its own root; while
+    an edge joins two trees, the larger of their roots is hooked under the
+    smaller, and every label then jumps to its root. A label never exceeds
+    its node, so the root left in each component is its smallest member."""
+    label = np.arange(n)
+    while u.size:
+        lu, lv = label[u], label[v]
+        across = lu != lv
+        if not across.any():
+            break
+        u, v, lu, lv = u[across], v[across], lu[across], lv[across]
+        label[np.maximum(lu, lv)] = np.minimum(lu, lv)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+    return label
+
+
+def extract_clusters(graph: SimilarGraph, rnd: int,
+                     excluded: AbstractSet[int] = frozenset()) -> ClusterSnapshot:
     """Connected components of the mutual-similarity graph.
 
     An edge (u, v) exists iff each node currently holds the other in its
     similar set; nodes in ``excluded`` (blacklisted anywhere) take part in no
-    edge. Components of size >= 2 become clusters; leaders are the members
-    with the most similar neighbors inside their own cluster.
+    edge. Components of size >= 2 become clusters, ordered by their smallest
+    member; leaders are the members with the most similar neighbors inside
+    their own cluster. When the flags and the excluded set equal those of
+    the last extraction from ``graph``, its clusters are returned again.
     """
-    clusters: List[Tuple[int, ...]] = []
-    leaders: List[Tuple[int, ...]] = []
-    seen = set(excluded)
-    # a traversal from each unvisited node in ascending id order finds every
-    # component from its smallest member, so they come out in that order
-    for start in sorted(similar_sets):
-        if start in seen:
-            continue
-        seen.add(start)
-        members = [start]
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in similar_sets[u]:
-                if v not in seen and u in similar_sets.get(v, ()):
-                    seen.add(v)
-                    members.append(v)
-                    frontier.append(v)
-        if len(members) < 2:
-            continue
-        member_set = set(members)
-        counts = {m: len(similar_sets[m] & member_set) for m in members}
-        clusters.append(tuple(sorted(members)))
-        leaders.append(tuple(sorted(elect_leaders(counts))))
-    return ClusterSnapshot(round=rnd, clusters=clusters, leaders=leaders)
+    flag = graph.flag
+    if graph.solved is not None:
+        last_flag, last_excluded, last = graph.solved
+        if last_excluded == excluded and np.array_equal(last_flag, flag):
+            return ClusterSnapshot(round=rnd, clusters=last.clusters, leaders=last.leaders)
+    n, width = flag.shape
+    cells = np.flatnonzero(flag & flag.take(graph.rev) & graph.upper)
+    u, v = cells // width, graph.nbr.take(cells)
+    if excluded:
+        keep = np.ones(n, dtype=bool)
+        keep[list(excluded)] = False
+        live = keep[u] & keep[v]
+        u, v = u[live], v[live]
+    label = _components(n, u, v)
+
+    # members grouped by label, in ascending id order within each group
+    size = np.bincount(label, minlength=n)
+    members = np.flatnonzero(size[label] >= 2)
+    members = members[np.argsort(label[members], kind="stable")]
+    group = label[members]
+    # per member, the similar neighbors in its own component
+    inside = np.count_nonzero(flag & (label.take(graph.nbr) == label[:, None]), axis=1)[members]
+    top = np.zeros(n, dtype=inside.dtype)
+    np.maximum.at(top, group, inside)
+    ids = members.tolist()
+    cuts = np.flatnonzero(np.diff(group, prepend=-1)).tolist()
+    lead = np.flatnonzero(inside == top[group])
+    lead_ids = members[lead].tolist()
+    lead_cuts = np.searchsorted(lead, cuts).tolist()
+    clusters = [tuple(ids[a:b]) for a, b in zip(cuts, cuts[1:] + [len(ids)])]
+    leaders = [tuple(lead_ids[a:b]) for a, b in zip(lead_cuts, lead_cuts[1:] + [len(lead_ids)])]
+
+    snapshot = ClusterSnapshot(round=rnd, clusters=clusters, leaders=leaders)
+    graph.solved = (flag.copy(), frozenset(excluded), snapshot)
+    graph.label = label
+    graph._leaders = {c[0]: leads for c, leads in zip(clusters, leaders)}
+    return snapshot

@@ -12,7 +12,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, compress
-from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from .attacks import AttackConfig, GroundTruth, attack_is_active, forge_reading,
 # build_data_message, handle_data_message, prune_ids, transition_label and
 # validate_data_message are not called here; the names stay imported
 # because the benchmark's tracing wraps them in this namespace by name
-from .clustering import (ClusterConfig, ClusterSnapshot, build_data_message, extract_clusters,
-                         handle_data_message, prune_ids)
+from .clustering import (ClusterConfig, ClusterSnapshot, SimilarGraph, build_data_message,
+                         extract_clusters, handle_data_message, prune_ids)
 from .detection import (BlacklistEntry, DetectionConfig, SuspectEntry,
                         SuspectOutcome, build_consensus_region, handle_alert, process_suspect)
 from .domain import AlertMessage, require_finite, transition_label, validate_data_message
@@ -95,7 +95,8 @@ class NeighborSlots:
     reading, aggregate, count and last-seen round), the similar flag, and
     whether the receiver blacklists or suspects that neighbor. ``sum_aw``
     and ``sum_w`` are each receiver's running sums of aggregate * count and
-    of count over its similar slots."""
+    of count over its similar slots. ``rev[i, k]`` is the flat cell of i in
+    the row of its k-th neighbor; a cell past i's degree maps to itself."""
 
     def __init__(self, adjacency: List[List[int]]) -> None:
         n = len(adjacency)
@@ -106,6 +107,15 @@ class NeighborSlots:
         self.nbr = np.zeros(shape, dtype=np.intp)
         self.nbr[real] = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp,
                                      count=int(degree.sum()))
+        # the adjacency is symmetric, so the real cells sorted by (neighbor,
+        # row) are, in turn, the reverses of the cells in row-major order; the
+        # cells are in row order already, and a stable sort of a key as
+        # narrow as np.min_scalar_type(n) is a radix sort
+        cells = np.flatnonzero(real)
+        by_nbr = np.argsort(self.nbr.ravel()[cells].astype(np.min_scalar_type(n)),
+                            kind="stable")
+        self.rev = np.arange(real.size).reshape(shape)
+        np.put(self.rev, cells[by_nbr], cells)
         self.rec_x = np.zeros(shape)
         self.rec_a = np.zeros(shape)
         self.rec_c = np.zeros(shape)
@@ -140,13 +150,12 @@ class NodeState:
     """One node's protocol state; its neighbor records live in its row of
     the world's slot arrays."""
 
-    __slots__ = ("node_id", "suspects", "blacklist", "known_leaders")
+    __slots__ = ("node_id", "suspects", "blacklist")
 
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self.suspects: Dict[int, SuspectEntry] = {}
         self.blacklist: Dict[int, BlacklistEntry] = {}
-        self.known_leaders: AbstractSet[int] = frozenset()
 
 
 @dataclass(slots=True)
@@ -194,6 +203,7 @@ def compute_adjacency(positions: Sequence[Tuple[float, float]],
     xs = np.array([p[0] for p in positions], dtype=float)
     ys = np.array([p[1] for p in positions], dtype=float)
     step = max(1, _ADJACENCY_BLOCK_CELLS // max(n, 1))
+    ids = np.arange(n)
     adjacency: List[List[int]] = []
     for lo in range(0, n, step):
         hi = min(n, lo + step)
@@ -206,7 +216,7 @@ def compute_adjacency(positions: Sequence[Tuple[float, float]],
         within = d2 <= r2
         rows = np.arange(hi - lo)
         within[rows, rows + lo] = False  # no self edges
-        adjacency.extend(np.flatnonzero(row).tolist() for row in within)
+        adjacency.extend(ids[row].tolist() for row in within)
     return adjacency
 
 
@@ -222,9 +232,7 @@ class WorldState:
         self.crashed = crashed
         self.slots = NeighborSlots(adjacency)
         self.states = [NodeState(i) for i in range(cfg.n_nodes)]
-        # each node's similar set as phase 5 last took it from the flags
-        self.similar_sets: Dict[int, Set[int]] = {i: set() for i in range(cfg.n_nodes)}
-        self.snapshot_flag = self.slots.flag.copy()
+        self.similar = SimilarGraph(self.slots.nbr, self.slots.flag, self.slots.rev)
         self.round = 0
         self.pending_alerts: List[Tuple[AlertMessage, int]] = []
         self.excluded: Set[int] = set()
@@ -259,22 +267,27 @@ class WorldState:
             live[list(self.crashed)] = False
         return live
 
-    def _note_blacklisted(self, observer: int, target: int) -> None:
+    def _note_blacklisted(self, observer: int, target: int) -> Optional[int]:
+        """Record that observer blacklists target and block target's slot
+        in observer's row; returns the slot, or None when they are not
+        adjacent."""
         self.blacklisted_union.add(target)
         k = self.slots.slot(observer, target)
         if k is not None:
             self.slots.blocked[observer, k] = True
             self.slots.suspected[observer, k] = False
-            self.slots.forget(np.array([observer]), np.array([k]))
             self.blacklister_count[target] = self.blacklister_count.get(target, 0) + 1
             self._bl_touched.add(target)
+        return k
 
 
 def _deliver_alert(world: WorldState, receiver: int, am: AlertMessage, rnd: int) -> bool:
     """Apply one alert at one node; returns True when it must be flooded.
 
     A crashed node takes no alert: the leader lists come from the previous
-    round's snapshot and can still name it in its crash round.
+    round's snapshot and can still name it in its crash round. The receiver
+    forgets the attacker's record; a conviction's is forgotten by the
+    phase-2 block's write-back instead.
     """
     st = world.states[receiver]
     if am.attacker in st.blacklist or world.node_is_dead(receiver):
@@ -282,7 +295,9 @@ def _deliver_alert(world: WorldState, receiver: int, am: AlertMessage, rnd: int)
     forward = handle_alert(st, am, receiver in world.global_leaders, rnd)
     if am.attacker not in st.blacklist:
         return False  # alert failed validation; nothing applied
-    world._note_blacklisted(receiver, am.attacker)
+    k = world._note_blacklisted(receiver, am.attacker)
+    if k is not None:
+        world.slots.forget(np.array([receiver]), np.array([k]))
     return forward
 
 
@@ -536,7 +551,6 @@ def _solve_rest(b: _Block, r: int, k: int, slots: NeighborSlots, cthresh: float)
 
 def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
     rnd = world.round
-    states = world.states
     events = world.events
     slots = world.slots
 
@@ -559,7 +573,7 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
             world.pending_alerts.append((am, rnd + 1))
             events.append((rnd, EVENT_ALERT_FORWARDED, am.detector, am.attacker,
                            am.attacker_reading))
-        for target in sorted(states[am.detector].known_leaders):
+        for target in world.similar.leaders_of(am.detector):
             if target == am.detector:
                 continue
             if _deliver_alert(world, target, am, rnd):
@@ -586,30 +600,14 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
         slots.forget(*np.nonzero(stale))
 
     # phase 5: election and snapshot over globally non-blacklisted nodes;
-    # dead nodes hold frozen state and cannot be cluster participants; the
-    # similar sets follow the flags that changed since the last snapshot
-    rows, cols = np.nonzero(slots.flag != world.snapshot_flag)
-    for i, j, on in zip(rows.tolist(), slots.nbr[rows, cols].tolist(),
-                        slots.flag[rows, cols].tolist()):
-        if on:
-            world.similar_sets[i].add(j)
-        else:
-            world.similar_sets[i].discard(j)
-    np.copyto(world.snapshot_flag, slots.flag)
+    # dead nodes hold frozen state and cannot be cluster participants
     snapshot_excluded = world.blacklisted_union
     if world.crashed and rnd >= cfg.crash_round:
         snapshot_excluded = snapshot_excluded | world.crashed
-    snapshot = extract_clusters(world.similar_sets, rnd, excluded=snapshot_excluded)
+    snapshot = extract_clusters(world.similar, rnd, excluded=snapshot_excluded)
     world.snapshots.append(snapshot)
     world.blacklisted_counts.append(len(world.blacklisted_union))
-    world.global_leaders = set()
-    for st in states:
-        st.known_leaders = frozenset()
-    for members, leads in zip(snapshot.clusters, snapshot.leaders):
-        lead_set = set(leads)
-        world.global_leaders.update(lead_set)
-        for m in members:
-            states[m].known_leaders = lead_set
+    world.global_leaders = snapshot.all_leaders()
 
     world.round += 1
 

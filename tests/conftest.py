@@ -1,16 +1,18 @@
 """Shared fixtures: the hand-built six-node corrupted-reading world, a
 node and a neighbor table built from records, a run that keeps its world
-state and the records read out of that world."""
+state and the records read out of that world, and the traversal oracle of
+cluster extraction over ``{node: similar set}`` mappings."""
 
 from __future__ import annotations
 
 import csv
+from typing import Mapping, Set
 
 import pytest
 
 import fdisim.engine as engine
-from fdisim.clustering import NeighborRecord, NeighborTable
-from fdisim.engine import ScenarioConfig
+from fdisim.clustering import ClusterSnapshot, NeighborRecord, NeighborTable, SimilarGraph
+from fdisim.engine import NeighborSlots, ScenarioConfig
 
 # node 2 broadcasts a wildly off reading every round; the others span 14..18
 GOLDEN_READINGS = [14.0, 15.0, 45.0, 16.0, 17.0, 18.0]
@@ -87,3 +89,59 @@ def run_recorded(cfg, monkeypatch, world_class=engine.WorldState, **replacements
             m.setattr(engine, name, value)
         result = engine.run_scenario(cfg)
     return result, worlds[0]
+
+
+def similar_graph(similar_sets: Mapping[int, Set[int]], n: int) -> SimilarGraph:
+    """A SimilarGraph over nodes 0..n-1 whose flags hold the given similar
+    sets (a node missing from the mapping has none). Two nodes are adjacent
+    when either holds the other."""
+    adjacency = [set() for _ in range(n)]
+    for i, similar in similar_sets.items():
+        for j in similar:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    slots = NeighborSlots([sorted(neigh) for neigh in adjacency])
+    for i, similar in similar_sets.items():
+        for j in similar:
+            slots.flag[i, slots.slot(i, j)] = True
+    return SimilarGraph(slots.nbr, slots.flag, slots.rev)
+
+
+def elect_leaders(counts: Mapping[int, int]) -> Set[int]:
+    """Every node whose similar-neighbor count ties the maximum is a leader."""
+    if not counts:
+        return set()
+    top = max(counts.values())
+    return {nid for nid, c in counts.items() if c == top}
+
+
+def bfs_clusters(similar_sets: Mapping[int, Set[int]], rnd: int,
+                 excluded=frozenset()) -> ClusterSnapshot:
+    """Cluster extraction by traversal, the oracle of
+    ``clustering.extract_clusters``: components of size >= 2 of the mutual-
+    similarity graph over the mapping's non-excluded nodes, found from each
+    unvisited node in ascending id order (so ordered by smallest member),
+    with the members holding the most similar neighbors inside their own
+    cluster as leaders."""
+    clusters, leaders = [], []
+    seen = set(excluded)
+    for start in sorted(similar_sets):
+        if start in seen:
+            continue
+        seen.add(start)
+        members = [start]
+        frontier = [start]
+        while frontier:
+            u = frontier.pop()
+            for v in similar_sets[u]:
+                if v not in seen and u in similar_sets.get(v, ()):
+                    seen.add(v)
+                    members.append(v)
+                    frontier.append(v)
+        if len(members) < 2:
+            continue
+        member_set = set(members)
+        counts = {m: len(similar_sets[m] & member_set) for m in members}
+        clusters.append(tuple(sorted(members)))
+        leaders.append(tuple(sorted(elect_leaders(counts))))
+    return ClusterSnapshot(round=rnd, clusters=clusters, leaders=leaders)

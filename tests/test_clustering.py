@@ -2,15 +2,16 @@
 
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdisim.clustering import (ClusterConfig, NeighborRecord, NeighborTable,
-                               build_data_message, elect_leaders, extract_clusters,
-                               handle_data_message, is_similar, prune_ids)
+                               build_data_message, extract_clusters, handle_data_message,
+                               is_similar, prune_ids)
 from fdisim.domain import DataMessage
 
-from conftest import similar_table
+from conftest import bfs_clusters, elect_leaders, similar_graph, similar_table
 
 
 def rec(ar, nr, ir=None, seen=0):
@@ -203,16 +204,21 @@ def _oracle_components(similar_sets, excluded):
     return sorted((c for c in comps if len(c) >= 2), key=min)
 
 
+def extract(sets, n, rnd=0, excluded=frozenset()):
+    """extract_clusters over a fresh graph holding the given similar sets."""
+    return extract_clusters(similar_graph(sets, n), rnd, excluded=excluded)
+
+
 def test_extract_clusters_clique():
     sets = {i: {j for j in range(5) if j != i} for i in range(5)}
-    snap = extract_clusters(sets, 0)
+    snap = extract(sets, 5)
     assert snap.clusters == [(0, 1, 2, 3, 4)]
     assert snap.leaders == [(0, 1, 2, 3, 4)]
 
 
 def test_extract_clusters_two_groups():
     sets = {0: {1}, 1: {0}, 2: {3, 4}, 3: {2, 4}, 4: {2, 3}, 5: set()}
-    snap = extract_clusters(sets, 1)
+    snap = extract(sets, 6, 1)
     assert snap.clusters == [(0, 1), (2, 3, 4)]
     assert all(5 not in members for members in snap.clusters)
 
@@ -220,13 +226,13 @@ def test_extract_clusters_two_groups():
 def test_extract_clusters_requires_mutual_edges():
     # one-sided similarity must not link nodes
     sets = {0: {1}, 1: set(), 2: {3}, 3: {2}}
-    snap = extract_clusters(sets, 0)
+    snap = extract(sets, 4)
     assert snap.clusters == [(2, 3)]
 
 
 def test_extract_clusters_excluded_node_never_appears():
     sets = {i: {j for j in range(4) if j != i} for i in range(4)}
-    snap = extract_clusters(sets, 2, excluded={1})
+    snap = extract(sets, 4, 2, excluded={1})
     assert snap.clusters == [(0, 2, 3)]
 
 
@@ -240,7 +246,8 @@ def test_extract_clusters_matches_bruteforce_oracle():
                 if i != j and rng.random() < 0.3:
                     sets[i].add(j)
         excluded = {i for i in range(n) if rng.random() < 0.15}
-        snap = extract_clusters(sets, 0, excluded=excluded)
+        snap = extract(sets, n, excluded=excluded)
+        assert snap == bfs_clusters(sets, 0, excluded)
         assert snap.clusters == _oracle_components(sets, excluded)
         # disjointness and min size
         seen = set()
@@ -262,25 +269,87 @@ def _oracle_leaders(similar_sets, cluster):
 def similarity_graphs(draw):
     """Similar sets over ids 0..n+2 keyed by a subset of them, so that
     edges can be one-sided and can point at ids missing from the mapping,
-    plus an excluded set that may also name ids outside the mapping."""
+    plus an excluded set that may also name ids outside the mapping; and
+    the id count."""
     n = draw(st.integers(min_value=0, max_value=12))
     ids = range(n + 3)
     keys = draw(st.sets(st.sampled_from(ids), max_size=n + 3))
     sets = {k: draw(st.sets(st.sampled_from(ids).filter(lambda v, k=k: v != k)))
             for k in keys}
     excluded = draw(st.sets(st.sampled_from(ids), max_size=4))
-    return sets, excluded
+    return sets, excluded, n + 3
 
 
 @settings(max_examples=300, deadline=None)
 @given(similarity_graphs())
 def test_extract_clusters_property_matches_bruteforce(graph):
-    sets, excluded = graph
-    snap = extract_clusters(sets, 7, excluded=excluded)
+    sets, excluded, n = graph
+    snap = extract(sets, n, 7, excluded=excluded)
     expected = _oracle_components(sets, excluded)
     assert snap.round == 7
     assert snap.clusters == expected
     assert snap.leaders == [_oracle_leaders(sets, c) for c in expected]
+    assert snap == bfs_clusters(sets, 7, excluded)
+
+
+def test_graph_view_reads_the_flags():
+    sets = {0: {1, 3}, 1: {0}, 3: {2}}
+    graph = similar_graph(sets, 5)
+    assert dict(graph.items()) == {0: {1, 3}, 1: {0}, 2: set(), 3: {2}, 4: set()}
+    assert 5 not in graph and graph.get(-1) is None
+    # a live view: a flag written in place shows at once
+    graph.flag[2, 0] = True  # node 2's only neighbor is 3
+    assert graph[2] == {3}
+
+
+def test_no_mutual_edge_gives_no_cluster():
+    snap = extract({0: {1}, 2: {1}, 3: set()}, 4, 3)
+    assert snap.clusters == [] and snap.leaders == [] and snap.round == 3
+    assert extract({}, 3) == bfs_clusters({}, 0)
+
+
+def test_every_node_excluded_gives_no_cluster():
+    sets = {i: {j for j in range(4) if j != i} for i in range(4)}
+    assert extract(sets, 4, excluded=set(range(4))).clusters == []
+
+
+def test_one_sided_flags_count_for_leaders_but_link_nothing():
+    # 0-1 and 1-2 are mutual; 0 -> 2 is one-sided, so 0 counts two similar
+    # neighbors in its cluster; 3 -> 2 links nothing
+    sets = {0: {1, 2}, 1: {0, 2}, 2: {1}, 3: {2}}
+    snap = extract(sets, 4)
+    assert snap == bfs_clusters(sets, 0)
+    assert snap.clusters == [(0, 1, 2)] and snap.leaders == [(0, 1)]
+
+
+def test_unchanged_flags_and_excluded_reuse_the_snapshot():
+    graph = similar_graph({0: {1}, 1: {0}, 2: {3}, 3: {2}}, 4)
+    first = extract_clusters(graph, 0)
+    again = extract_clusters(graph, 1, excluded=set())
+    assert again.round == 1 and again.clusters is first.clusters
+    assert graph.leaders_of(2) == (2, 3) and graph.leaders_of(0) == (0, 1)
+
+
+def test_reuse_misses_when_only_excluded_changes():
+    sets = {0: {1}, 1: {0}, 2: {3}, 3: {2}}
+    graph = similar_graph(sets, 4)
+    first = extract_clusters(graph, 0)
+    second = extract_clusters(graph, 1, excluded={3})
+    assert second.clusters is not first.clusters
+    assert second == bfs_clusters(sets, 1, {3})
+    assert graph.leaders_of(2) == ()
+    # and back again, with the excluded set as it was
+    assert extract_clusters(graph, 2) == bfs_clusters(sets, 2)
+
+
+def test_reuse_misses_after_an_in_place_flag_change():
+    sets = {0: {1}, 1: {0}, 2: {3}, 3: {2}}
+    graph = similar_graph(sets, 4)
+    extract_clusters(graph, 0)
+    graph.flag[2, 0] = False  # 2 no longer holds 3
+    snap = extract_clusters(graph, 1)
+    assert snap == bfs_clusters({0: {1}, 1: {0}, 3: {2}}, 1)
+    assert graph.leaders_of(3) == ()
 
 
 # table operations: a message (new record or refresh, then a similarity
@@ -323,3 +392,30 @@ def test_running_sums_stay_within_rounding_of_recomputation(ops):
         direct_aw = sum(r.aggregate_reading * r.neighbor_count for r in similar)
         assert abs(table._sum_aw - direct_aw) <= 4 * step * eps * magnitude
         assert table._sum_w == sum(r.neighbor_count for r in similar)
+
+
+def test_reuse_over_a_sequence_of_in_place_changes():
+    """One graph extracted round after round while flags flip in place and
+    the excluded set changes now and then: every snapshot and every node's
+    leaders equal the traversal oracle's over the flags as they stand."""
+    rng = random.Random(5)
+    n = 12
+    sets = {i: {j for j in range(n) if j != i and rng.random() < 0.5} for i in range(n)}
+    graph = similar_graph(sets, n)
+    # a padding cell's reverse is the cell itself
+    real = list(zip(*np.nonzero(graph.rev != np.arange(graph.rev.size).reshape(graph.rev.shape))))
+    excluded, last, reused = set(), None, 0
+    for rnd in range(200):
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            i, k = rng.choice(real)
+            graph.flag[i, k] = not graph.flag[i, k]
+        if rng.random() < 0.1:
+            excluded = {i for i in range(n) if rng.random() < 0.1}
+        snap = extract_clusters(graph, rnd, excluded=excluded)
+        want = bfs_clusters(dict(graph.items()), rnd, excluded)
+        assert snap == want
+        lead = {m: leads for members, leads in zip(want.clusters, want.leaders) for m in members}
+        assert [graph.leaders_of(i) for i in range(n)] == [lead.get(i, ()) for i in range(n)]
+        reused += last is not None and snap.clusters is last.clusters
+        last = snap
+    assert 0 < reused < 200

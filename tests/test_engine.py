@@ -405,3 +405,21 @@ def test_alert_forgets_the_attackers_slot(monkeypatch):
     assert slots.sum_aw.item(i) == pytest.approx(float(np.sum(slots.rec_a[i, rest] *
                                                               slots.rec_c[i, rest])))
     assert slots.sum_w.item(i) == float(np.sum(slots.rec_c[i, rest]))
+
+
+@pytest.mark.parametrize("n_nodes", [7, 300])
+def test_reverse_slot_index_points_back(n_nodes):
+    """rev[i, k] is the cell of i in the row of its k-th neighbor; a cell
+    past i's degree maps to itself. 300 nodes take a 16-bit sort key."""
+    rng = random.Random(n_nodes)
+    positions = [(rng.uniform(0, 200), rng.uniform(0, 200)) for _ in range(n_nodes)]
+    adjacency = engine.compute_adjacency(positions, 60.0)
+    slots = engine.NeighborSlots(adjacency)
+    width = slots.nbr.shape[1]
+    for i, neigh in enumerate(adjacency):
+        for k in range(width):
+            row, slot = divmod(int(slots.rev[i, k]), width)
+            if k < len(neigh):
+                assert (row, adjacency[row][slot]) == (neigh[k], i)
+            else:
+                assert (row, slot) == (i, k)

@@ -4,8 +4,8 @@ round written with the message-object API.
 ``reference_round`` is phases 1-5 of a round over one NeighborTable per
 node: one DataMessage per sender, validated once, ``handle_data_message``
 per delivery, a consensus region built fresh for every suspected sender,
-``prune_ids`` for TTL maintenance and ``extract_clusters`` over the similar
-sets. The engine solves each receiver's similarity pass over arrays; both
+``prune_ids`` for TTL maintenance and the traversal oracle ``bfs_clusters``
+over the similar sets. The engine solves each receiver's similarity pass over arrays; both
 must produce identical runs, float for float.
 """
 
@@ -16,8 +16,7 @@ import pytest
 
 import fdisim.engine as engine
 from fdisim.attacks import AttackConfig, attack_is_active, forge_reading
-from fdisim.clustering import (build_data_message, extract_clusters, handle_data_message,
-                               prune_ids)
+from fdisim.clustering import build_data_message, handle_data_message, prune_ids
 from fdisim.detection import DetectionConfig, SuspectOutcome, handle_alert, process_suspect
 from fdisim.domain import AlertMessage, DataMessage, validate_data_message
 from fdisim.engine import (EVENT_ALERT_FORWARDED, EVENT_ATTACKER_DETECTED, EVENT_DM_DISCARDED,
@@ -25,7 +24,8 @@ from fdisim.engine import (EVENT_ALERT_FORWARDED, EVENT_ATTACKER_DETECTED, EVENT
                            EVENT_SUSPECT_CLEARED, DetectionRecord, ScenarioConfig)
 from fdisim.sensing import FieldConfig
 
-from conftest import RefNode, golden_config, run_recorded, slot_records, write_golden_trace
+from conftest import (RefNode, bfs_clusters, golden_config, run_recorded, slot_records,
+                      write_golden_trace)
 
 
 class ReferenceWorld:
@@ -190,8 +190,8 @@ def reference_round(world, cfg):
     excluded = set(world.blacklisted_union)
     if rnd >= cfg.crash_round:
         excluded |= world.crashed
-    snapshot = extract_clusters({i: states[i].table.similar for i in range(n)}, rnd,
-                                excluded=excluded)
+    snapshot = bfs_clusters({i: states[i].table.similar for i in range(n)}, rnd,
+                            excluded=excluded)
     world.snapshots.append(snapshot)
     world.blacklisted_counts.append(len(world.blacklisted_union))
     world.global_leaders = snapshot.all_leaders()

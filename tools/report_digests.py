@@ -41,6 +41,10 @@ CONFIGS = {
                        "detection_enabled": "false"}, 2, 1, 1),
     "noisy-400": ({"n_nodes": "400", "area_width_m": "400", "area_height_m": "400",
                    "n_rounds": "8", "attack_type": "sensitive", "noise_sigma": "1.5"}, 2, 5, 1),
+    # the similar flags settle, then the crash at round 50 changes only the
+    # excluded set of cluster extraction
+    "crash-flags-hold": ({"n_nodes": "100", "n_rounds": "80", "fdi_offset_min": "20",
+                          "crash_fraction": "0.1", "crash_round": "50"}, 2, 1, 1),
 }
 WORKLOADS = ("sweep-fdi", "noisy-sensitive", "scale-trace")
 BENCHMARK_SEED = 1
