@@ -3,10 +3,11 @@ collaborative filter, suspect bookkeeping, alerts and the blacklist."""
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .domain import AlertMessage, require_finite, validate_alert_message
 
@@ -25,28 +26,75 @@ class DetectionConfig:
             raise ValueError("region_cap must be >= 1")
 
 
+# verdict codes of consensus_verdicts
+PENDING, CLEARED, DETECTED = 0, 1, 2
+
+
+def _spread(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Population standard deviation (divide by N) of the first ``sizes[r]``
+    values of each row r; the rest of a row is -0.0 padding. Sums run column
+    by column from +0.0 and deviations are squared by ``pow``: the IEEE
+    operations of a scalar loop over each region, in the same order. A sum
+    or square that overflows is inf."""
+    rows, width = values.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.zeros(rows)
+        for col in values.T:
+            total += col  # x + -0.0 is x for every double
+        squares = np.float_power(values - (total / sizes)[:, None], 2.0)
+        squares[np.arange(width) >= sizes[:, None]] = -0.0
+        total = np.zeros(rows)
+        for col in squares.T:
+            total += col
+        return np.sqrt(total / sizes)
+
+
+def consensus_verdicts(values: np.ndarray, sizes: np.ndarray, readings: np.ndarray,
+                       threshold: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two-step filter over many consensus regions at once.
+
+    Row r of ``values`` is a region, the detector's own reading first, with
+    ``sizes[r]`` readings in all and -0.0 after them; ``readings[r]`` is the
+    suspect's. Returns per region the verdict code, the region's own spread
+    and, for a valid region, its spread with the suspect's reading appended
+    (nan for an invalid one). A region is invalid, and its verdict PENDING,
+    when it holds fewer than two readings or its spread exceeds
+    ``threshold``; otherwise the verdict is DETECTED when the combined spread
+    exceeds ``threshold`` and CLEARED when it does not, so equality acquits.
+    """
+    base = _spread(values, sizes)
+    valid = np.flatnonzero((sizes >= 2) & ~(base > threshold))
+    spread = np.full(len(values), np.nan)
+    if valid.size:
+        combined = np.concatenate((values[valid], np.full((valid.size, 1), -0.0)), axis=1)
+        combined[np.arange(valid.size), sizes[valid]] = readings[valid]
+        spread[valid] = _spread(combined, sizes[valid] + 1)
+    verdict = np.full(len(values), PENDING, dtype=np.int8)
+    verdict[valid] = np.where(spread[valid] > threshold, DETECTED, CLEARED)
+    return verdict, base, spread
+
+
 def region_sd(values: Sequence[float]) -> float:
     """Population standard deviation (divide by N) of a consensus region."""
     n = len(values)
     if n == 0:
         raise ValueError("empty consensus region")
-    mean = sum(values) / n
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / n)
+    return _spread(np.array([values], dtype=float), np.array([n])).item()
 
 
 @dataclass
 class ConsensusRegion:
     """The detector's own latest reading plus its sampled similar neighbors'
     latest readings; the material the two-step filter works on. ``ids`` are
-    the neighbors whose readings follow the detector's own, and ``sd`` is
-    the region's own spread, taken once."""
+    the neighbors whose readings follow the detector's own."""
 
     values: List[float]
     ids: Tuple[int, ...] = ()
-    sd: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        self.sd = region_sd(self.values)
+    @property
+    def sd(self) -> float:
+        """The region's own spread."""
+        return region_sd(self.values)
 
 
 class ClassifyOutcome(Enum):
@@ -72,13 +120,13 @@ def classify_suspect(region: ConsensusRegion, suspect_reading: float,
     re-evaluates the spread with the suspect's reading included; exceeding
     the threshold convicts, equality acquits.
     """
-    base_sd = region.sd
-    if len(region.values) < 2 or base_sd > cfg.consensus_threshold:
-        return ClassifyResult(ClassifyOutcome.REGION_INVALID, base_sd, None)
-    combined = region_sd(list(region.values) + [suspect_reading])
-    if combined > cfg.consensus_threshold:
-        return ClassifyResult(ClassifyOutcome.ATTACKER, base_sd, combined)
-    return ClassifyResult(ClassifyOutcome.HONEST, base_sd, combined)
+    verdict, base, combined = consensus_verdicts(
+        np.array([region.values], dtype=float), np.array([len(region.values)]),
+        np.array([suspect_reading], dtype=float), cfg.consensus_threshold)
+    if verdict[0] == PENDING:
+        return ClassifyResult(ClassifyOutcome.REGION_INVALID, base.item(), None)
+    outcome = ClassifyOutcome.ATTACKER if verdict[0] == DETECTED else ClassifyOutcome.HONEST
+    return ClassifyResult(outcome, base.item(), combined.item())
 
 
 @dataclass(slots=True)

@@ -11,19 +11,21 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, compress
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from .attacks import AttackConfig, GroundTruth, attack_is_active, forge_reading, select_attackers
-# build_data_message, handle_data_message, prune_ids, transition_label and
-# validate_data_message are not called here; the names stay imported
-# because the benchmark's tracing wraps them in this namespace by name
+# build_consensus_region, build_data_message, handle_data_message,
+# process_suspect, prune_ids, transition_label and validate_data_message are
+# not called here; the names stay imported because the benchmark's tracing
+# wraps them in this namespace by name
 from .clustering import (ClusterConfig, ClusterSnapshot, SimilarGraph, build_data_message,
                          extract_clusters, handle_data_message, prune_ids)
-from .detection import (BlacklistEntry, DetectionConfig, SuspectEntry,
-                        SuspectOutcome, build_consensus_region, handle_alert, process_suspect)
+from .detection import (CLEARED, DETECTED, BlacklistEntry, DetectionConfig, SuspectEntry,
+                        build_consensus_region, consensus_verdicts, handle_alert,
+                        process_suspect)
 from .domain import AlertMessage, require_finite, transition_label, validate_data_message
 from .metrics import (ConfusionCounts, MetricsReport, build_report, cluster_availability,
                       compute_confusion)
@@ -41,6 +43,8 @@ EVENT_NODE_EXCLUDED = "node_excluded"
 _ADJACENCY_BLOCK_CELLS = 1 << 14
 # last-seen round of a slot that holds no record
 NO_RECORD = -1
+# what a phase-2 slot logs beside consensus_verdicts' codes (PENDING logs nothing)
+_ADDED, _DISCARDED = 3, 4
 
 
 class ConfigError(Exception):
@@ -355,20 +359,7 @@ class _Block:
     the readings and last-seen rounds the records end the pass with."""
 
     __slots__ = ("lo", "own", "nbr", "x", "a", "c", "prev", "part", "discarded",
-                 "suspected", "verdict", "cum_aw", "cum_w", "rec_x", "seen", "steady")
-
-    def walk_entries(self, cells: np.ndarray) -> List[tuple]:
-        """Per given cell (row * width + slot): the slot, the sender, its
-        reading, the verdict, whether the sender was suspected and whether
-        its message was discarded."""
-        return list(zip((cells % self.nbr.shape[1]).tolist(), self.nbr.take(cells).tolist(),
-                        self.x.take(cells).tolist(), self.verdict.take(cells).tolist(),
-                        self.suspected.take(cells).tolist(),
-                        self.discarded.take(cells).tolist()))
-
-    def note_verdicts(self) -> None:
-        """Per slot, the similar, unsuspected slots below it."""
-        self.steady = np.cumsum(self.part & self.verdict & ~self.suspected, axis=1)
+                 "suspected", "verdict", "cum_aw", "cum_w", "rec_x", "seen")
 
 
 def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage], List[int]]:
@@ -402,9 +393,8 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
     count = np.count_nonzero(slots.flag, axis=1).astype(float)
 
     # phase 2, one block of receiver rows at a time: the similarity passes
-    # are solved for the whole block, then each watching receiver walks its
-    # dissimilar and suspected slots through detection, and every receiver
-    # its discarded ones
+    # are solved for the whole block, then the suspected senders of every
+    # watching receiver are judged at once
     watch = live.copy()
     watch[list(attackers)] = False
     if not cfg.detection.detection_enabled:
@@ -431,17 +421,23 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
         world.total_interactions += int(np.count_nonzero(part))
         b.rec_x = np.where(part, b.x, slots.rec_x[lo:hi])
         b.seen = np.where(part, rnd, slots.seen[lo:hi])
-        walk = part & (~b.verdict | b.suspected)
-        walk &= watch[lo:hi, None]
-        walk |= b.discarded
-        cells = np.flatnonzero(walk)
+        # what each slot logs: a discard, a new suspect, or a suspect's verdict
+        walk = part & watch[lo:hi, None]
+        cand = walk & b.suspected
+        event = np.zeros(part.shape, dtype=np.int8)
+        event[b.discarded] = _DISCARDED
+        base = spread = None
+        if cand.any():
+            verdict, base, spread = _judge(b, slots.rec_x[lo:hi], cand, cfg.detection, slots,
+                                           cthresh)
+            event[cand] = verdict[cand]
+            b.seen[event == DETECTED] = NO_RECORD
+        event[walk & ~b.suspected & ~b.verdict] = _ADDED
+        cells = np.flatnonzero(event)
         if cells.size:
-            b.note_verdicts()
-            entries = b.walk_entries(cells)
-            rows = cells // nbr.shape[1]
-            starts = np.flatnonzero(np.diff(rows, prepend=-1)).tolist()
-            for first, end in zip(starts, starts[1:] + [len(entries)]):
-                _walk_row(world, cfg, b, int(rows[first]), entries[first:end], fresh_alerts)
+            _apply_outcomes(world, b, cells, event, base, spread, fresh_alerts)
+            slots.suspected[lo:hi] |= event == _ADDED
+            slots.suspected[lo:hi] &= event != CLEARED
         # the receivers keep the state their passes end with
         flag = np.where(part, b.verdict, prev)
         slots.flag[lo:hi] = flag
@@ -454,86 +450,117 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
     return fresh_alerts, np.flatnonzero(~valid).tolist()
 
 
-def _walk_row(world: WorldState, cfg: ScenarioConfig, b: _Block, r: int, entries: List[tuple],
-              fresh_alerts: List[AlertMessage]) -> None:
-    """Take row r's walk ``entries`` in slot order: a discard event for a
-    discarded message, detection for a dissimilar or suspected sender.
+def _judge(b: _Block, old_x: np.ndarray, cand: np.ndarray, dcfg: DetectionConfig,
+           slots: NeighborSlots, cthresh: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Verdict codes, region spreads and combined spreads (by cell) of the
+    suspected senders in ``cand``, each judged as a slot-by-slot pass would
+    judge it at its slot.
 
-    Detection sees the receiver as its sequential pass has it at the slot:
-    this round's readings and flags at or below the slot, last round's above
-    it; the running sums in ``slots`` are stale until the block ends. The
-    consensus region is kept until one of its inputs changes: a similar,
-    unsuspected slot within its reach is refreshed or enters, a member turns
-    dissimilar, or a suspect is cleared.
+    The consensus region of suspected slot k is the receiver's own reading,
+    then the first ``region_cap`` slots eligible at k, in slot order: at or
+    below k, similar after this round's message and read from ``b.rec_x``;
+    above k, similar last round and read from ``old_x`` (the records as the
+    round found them); in both cases not suspected. A blacklisted slot
+    holds no similar flag. The regions are gathered through per-row counts
+    of the eligible slots and their readings by rank.
+
+    Every suspected slot of the block is judged at once, as if its row's
+    earlier suspects all stayed suspected. Only two verdicts break that: a
+    similar sender cleared with fewer than ``region_cap`` eligible slots
+    before it enters later regions, and a similar sender convicted leaves
+    the sums, so the rest of its row is solved again (``_solve_rest``) and
+    its verdict turned False. A row keeps its verdicts up to its first such
+    one, which is applied, and its suspects past it are judged again.
     """
-    rnd = world.round
-    slots = world.slots
-    i = b.lo + r
-    st = world.states[i]
-    events = world.events
-    dcfg = cfg.detection
-    own = b.own.item(r)
-    pending = SuspectOutcome.PENDING
-    region = None
-    reach = 0      # similar slots below this one are in the region or can enter it
-    last = -1      # the slot walked last
-    steady = None  # per slot: similar, unsuspected slots below it
-    row = None     # the row's ids, then its readings and flags after and before the pass
-    while entries:
-        todo, entries = entries, None
-        for k, j, x, similar_now, suspected, discarded in todo:
-            if discarded:
-                events.append((rnd, EVENT_DM_DISCARDED, i, j, None))
-                continue
-            if region is not None:
-                end = k if k < reach else reach
-                if j in region.ids:
-                    region = None
-                elif end > last + 1:
-                    if steady is None:
-                        steady = [0] + b.steady[r].tolist()
-                    if steady[end] > steady[last + 1]:
-                        region = None
-            last = k
-            if region is None and suspected:
-                if row is None:
-                    row = (b.nbr[r].tolist(), b.rec_x[r].tolist(), slots.rec_x[i].tolist(),
-                           np.where(b.part[r], b.verdict[r], b.prev[r]).tolist(),
-                           b.prev[r].tolist())
-                ids, new_x, old_x, new, old = row
-                s = k + 1
-                similar = compress(zip(ids, new_x[:s] + old_x[s:]), new[:s] + old[s:])
-                region = build_consensus_region(st, own, similar, dcfg.region_cap)
-                reach = (slots.slot(i, region.ids[-1]) + 1
-                         if len(region.ids) == dcfg.region_cap else b.nbr.shape[1])
-            outcome, am, res = process_suspect(st, j, x, similar_now, region, dcfg, rnd)
-            if outcome is pending:
-                continue
-            if outcome is SuspectOutcome.ADDED:
-                events.append((rnd, EVENT_SUSPECT_ADDED, i, j, x))
-                slots.suspected[i, k] = True
-            elif outcome is SuspectOutcome.CLEARED:
-                events.append((rnd, EVENT_SUSPECT_CLEARED, i, j, x))
-                slots.suspected[i, k] = False
-                region = None  # eligible again if similar
+    rows_n, width = cand.shape
+    cap = dcfg.region_cap
+    gather = np.arange(min(cap, width))
+    verdict = np.zeros(cand.shape, dtype=np.int8)
+    base = np.zeros(cand.shape)
+    spread = np.zeros(cand.shape)
+    cleared = np.zeros_like(cand)
+    # per row, the readings of the slots eligible last round, by rank
+    old_ok = b.prev & ~b.suspected
+    old_cnt = np.cumsum(old_ok, axis=1)
+    old_ranked = np.zeros(cand.shape)
+    r, k = np.nonzero(old_ok)
+    old_ranked[r, old_cnt[r, k] - 1] = old_x[r, k]
+    todo = cand
+    while True:
+        # and the first ones eligible this round, by rank
+        flag = np.where(b.part, b.verdict, b.prev)
+        new_ok = flag & (~b.suspected | cleared)
+        new_cnt = np.cumsum(new_ok, axis=1)
+        new_ranked = np.zeros((rows_n, gather.size))
+        r, k = np.nonzero(new_ok & (new_cnt <= gather.size))
+        new_ranked[r, new_cnt[r, k] - 1] = b.rec_x[r, k]
+        rows, cols = np.nonzero(todo)
+        before = new_cnt[rows, cols]
+        n_new = np.minimum(before, cap)
+        skip = old_cnt[rows, cols]
+        n_old = np.minimum(cap - n_new, old_cnt[rows, -1] - skip)
+        at_old = np.clip(skip[:, None] + gather - n_new[:, None], 0, width - 1)
+        values = np.empty((rows.size, gather.size + 1))
+        values[:, 0] = b.own[rows]
+        values[:, 1:] = np.where(gather < n_new[:, None], new_ranked[rows],
+                                 np.where(gather < (n_new + n_old)[:, None],
+                                          old_ranked.take(rows[:, None] * width + at_old), -0.0))
+        v, sd, comb = consensus_verdicts(values, 1 + n_new + n_old, b.x[rows, cols],
+                                         dcfg.consensus_threshold)
+        verdict[rows, cols] = v
+        base[rows, cols] = sd
+        spread[rows, cols] = comb
+        change = flag[rows, cols] & ((v == DETECTED) | ((v == CLEARED) & (before < cap)))
+        if not change.any():
+            return verdict, base, spread
+        idx = np.flatnonzero(change)
+        first = idx[np.diff(rows[idx], prepend=-1) != 0]
+        for r, k, code in zip(rows[first].tolist(), cols[first].tolist(), v[first].tolist()):
+            if code == CLEARED:
+                cleared[r, k] = True
             else:
-                events.append((rnd, EVENT_ATTACKER_DETECTED, i, j, x))
-                world._note_blacklisted(i, j)
-                world.detections.append(DetectionRecord(rnd, i, j, x, res.region_sd,
-                                                        res.combined_sd))
-                fresh_alerts.append(am)
                 b.verdict[r, k] = False
-                b.seen[r, k] = NO_RECORD
-                if similar_now:
-                    entries = _solve_rest(b, r, k, slots, cfg.cluster.cthresh)
-                    steady = row = None
-                    break
+                _solve_rest(b, r, k, slots, cthresh)
+        resume = np.full(rows_n, width)
+        resume[rows[first]] = cols[first] + 1
+        todo = cand & (np.arange(width) >= resume[:, None])
 
 
-def _solve_rest(b: _Block, r: int, k: int, slots: NeighborSlots, cthresh: float) -> List[tuple]:
+def _apply_outcomes(world: WorldState, b: _Block, cells: np.ndarray, event: np.ndarray,
+                    base: Optional[np.ndarray], spread: Optional[np.ndarray],
+                    fresh_alerts: List[AlertMessage]) -> None:
+    """Apply the block's ``event`` at the given cells (row * width + slot),
+    in cell order: discard events, new suspects, acquittals and
+    convictions, each with its event, its suspect and blacklist entries,
+    its detection record (spreads from ``base`` and ``spread``) and alert."""
+    rnd = world.round
+    states = world.states
+    append = world.events.append
+    for cell, i, j, x, what in zip(cells.tolist(), (cells // b.nbr.shape[1] + b.lo).tolist(),
+                                   b.nbr.take(cells).tolist(), b.x.take(cells).tolist(),
+                                   event.take(cells).tolist()):
+        if what == _DISCARDED:
+            append((rnd, EVENT_DM_DISCARDED, i, j, None))
+        elif what == _ADDED:
+            append((rnd, EVENT_SUSPECT_ADDED, i, j, x))
+            states[i].suspects[j] = SuspectEntry(rnd)
+        elif what == CLEARED:
+            append((rnd, EVENT_SUSPECT_CLEARED, i, j, x))
+            del states[i].suspects[j]
+        else:
+            append((rnd, EVENT_ATTACKER_DETECTED, i, j, x))
+            st = states[i]
+            del st.suspects[j]
+            st.blacklist[j] = BlacklistEntry(rnd, i, x)
+            world._note_blacklisted(i, j)
+            world.detections.append(DetectionRecord(rnd, i, j, x, base.item(cell),
+                                                    spread.item(cell)))
+            fresh_alerts.append(AlertMessage(detector=i, attacker=j, attacker_reading=x))
+
+
+def _solve_rest(b: _Block, r: int, k: int, slots: NeighborSlots, cthresh: float) -> None:
     """Solve row r again past slot k, whose sender was convicted while
-    similar: its a*c leaves the sums after the slot. Returns the walk
-    entries past slot k."""
+    similar: its a*c leaves the sums after the slot."""
     i = b.lo + r
     s = k + 1
     v, cum_aw, cum_w = _solve(b.cum_aw[r, 2 * k + 2] - b.a[r, k] * b.c[r, k],
@@ -544,9 +571,6 @@ def _solve_rest(b: _Block, r: int, k: int, slots: NeighborSlots, cthresh: float)
     b.verdict[r, s:] = v[0]
     b.cum_aw[r, 2 * s:] = cum_aw[0]
     b.cum_w[r, 2 * s:] = cum_w[0]
-    b.note_verdicts()
-    cols = np.flatnonzero(b.part[r, s:] & (~v[0] | b.suspected[r, s:]) | b.discarded[r, s:])
-    return b.walk_entries(r * b.nbr.shape[1] + s + cols)
 
 
 def run_round(world: WorldState, cfg: ScenarioConfig) -> None:

@@ -1,17 +1,20 @@
 """Shared fixtures: the hand-built six-node corrupted-reading world, a
 node and a neighbor table built from records, a run that keeps its world
-state and the records read out of that world, and the traversal oracle of
-cluster extraction over ``{node: similar set}`` mappings."""
+state and the records read out of that world, the traversal oracle of
+cluster extraction over ``{node: similar set}`` mappings and the scalar
+oracle of the consensus filter."""
 
 from __future__ import annotations
 
 import csv
+import math
 from typing import Mapping, Set
 
 import pytest
 
 import fdisim.engine as engine
 from fdisim.clustering import ClusterSnapshot, NeighborRecord, NeighborTable, SimilarGraph
+from fdisim.detection import CLEARED, DETECTED, PENDING
 from fdisim.engine import NeighborSlots, ScenarioConfig
 
 # node 2 broadcasts a wildly off reading every round; the others span 14..18
@@ -145,3 +148,33 @@ def bfs_clusters(similar_sets: Mapping[int, Set[int]], rnd: int,
         clusters.append(tuple(sorted(members)))
         leaders.append(tuple(sorted(elect_leaders(counts))))
     return ClusterSnapshot(round=rnd, clusters=clusters, leaders=leaders)
+
+
+def scalar_region_sd(values) -> float:
+    """Population standard deviation of a region by a scalar loop, the
+    oracle of ``detection.consensus_verdicts``: sums from +0.0 in order (not
+    the builtin ``sum``, which compensates from Python 3.12 on) and each
+    deviation squared by ``** 2`` (libm ``pow``), inf where that overflows."""
+    n = len(values)
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / n
+    squares = 0.0
+    for v in values:
+        try:
+            squares += (v - mean) ** 2
+        except OverflowError:
+            squares += math.inf
+    return math.sqrt(squares / n)
+
+
+def scalar_verdict(values, reading, threshold):
+    """The two-step filter over one region by ``scalar_region_sd``: the
+    verdict code, the region's spread and the combined spread (None for an
+    invalid region)."""
+    base = scalar_region_sd(values)
+    if len(values) < 2 or base > threshold:
+        return PENDING, base, None
+    combined = scalar_region_sd(list(values) + [reading])
+    return (DETECTED if combined > threshold else CLEARED), base, combined

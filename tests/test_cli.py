@@ -255,3 +255,17 @@ def test_run_sweep_discards_temp_files_when_a_run_raises(tmp_path, monkeypatch):
     assert calls == [1, 2]
     leftovers = [p for d in (out, out / "raw") for p in os.listdir(d)]
     assert leftovers == ["raw"]
+
+
+def test_main_runs_when_region_spreads_overflow(tmp_path):
+    """Readings near 1e155 square past the largest double: the spread of
+    such a region is inf, so the region is invalid and its suspect stays
+    pending, instead of an OverflowError ending the run."""
+    path = tmp_path / "s.cfg"
+    path.write_text("noise_sigma = 1e155\ncthresh = 1e155\nn_nodes = 30\nn_rounds = 8\n"
+                    "seed = 1\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(path), "--out", str(out)]) == EXIT_OK
+    kinds = [r[2] for r in _read_csv(out / "events.csv")[1:]]
+    assert "suspect_added" in kinds
+    assert "suspect_cleared" not in kinds and "attacker_detected" not in kinds

@@ -2,17 +2,20 @@
 
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hst
 
-from fdisim.detection import (BlacklistEntry, ClassifyOutcome, ConsensusRegion,
-                              DetectionConfig, build_consensus_region, classify_suspect,
-                              handle_alert, process_suspect, region_sd, SuspectEntry,
-                              SuspectOutcome)
+from fdisim.detection import (CLEARED, DETECTED, PENDING, BlacklistEntry, ClassifyOutcome,
+                              ConsensusRegion, DetectionConfig, build_consensus_region,
+                              classify_suspect, consensus_verdicts, handle_alert,
+                              process_suspect, region_sd, SuspectEntry, SuspectOutcome)
 from fdisim.clustering import ClusterConfig, handle_data_message
 from fdisim.domain import AlertMessage, DataMessage
 
-from conftest import RefNode
+from conftest import RefNode, scalar_region_sd, scalar_verdict
 
 FIG_REGION = [14.0, 15.0, 16.0, 17.0, 18.0]
 
@@ -221,3 +224,79 @@ def test_handle_alert_rejects_invalid():
     bad = AlertMessage(detector=9, attacker=9, attacker_reading=45.0)
     assert handle_alert(st, bad, is_leader=True, rnd=0) is False
     assert not st.blacklist
+
+
+def _same(a, b) -> bool:
+    """Equal bit for bit; any two nans are the same."""
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+def _kernel(regions, threshold):
+    """consensus_verdicts over (region values, suspect reading) pairs."""
+    width = max(len(values) for values, _ in regions)
+    values = np.full((len(regions), width), -0.0)
+    for r, (region, _) in enumerate(regions):
+        values[r, :len(region)] = region
+    return consensus_verdicts(values, np.array([len(v) for v, _ in regions]),
+                              np.array([x for _, x in regions], dtype=float), threshold)
+
+
+def _check_kernel(regions, threshold):
+    verdict, base, spread = _kernel(regions, threshold)
+    for r, (values, reading) in enumerate(regions):
+        want, want_base, want_combined = scalar_verdict(values, reading, threshold)
+        assert verdict[r] == want
+        assert _same(base[r], want_base)
+        assert _same(spread[r], math.nan if want_combined is None else want_combined)
+
+
+CAP = DetectionConfig().region_cap
+reading = hst.one_of(hst.floats(min_value=-1e3, max_value=1e3), hst.floats(),
+                     hst.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e155, -1e155]))
+
+
+@settings(max_examples=300, deadline=None)
+# -0.0 own readings, alone and beside other readings
+@example([([-0.0], 1.0), ([-0.0, -0.0], -0.0), ([-0.0, 3.0, 4.0], -0.0)], 5.0)
+# squares that overflow, and inf and nan readings
+@example([([1e155, -1e155], 0.0), ([1.0, 2.0], 1e200), ([math.inf, 1.0], 0.0),
+          ([1.0, 2.0], math.nan)], 1.0)
+@given(hst.lists(hst.tuples(hst.lists(reading, min_size=1, max_size=CAP + 1), reading),
+                 min_size=1, max_size=8),
+       hst.floats(min_value=1e-12, max_value=1e6))
+def test_consensus_verdicts_match_the_scalar_filter(regions, threshold):
+    _check_kernel(regions, threshold)
+
+
+def test_consensus_verdicts_on_the_threshold():
+    # a region spread equal to the threshold is valid
+    threshold = scalar_region_sd([0.0, 2.0])
+    assert _kernel([([0.0, 2.0], 1.0)], threshold)[0][0] == CLEARED
+    # a combined spread equal to the threshold acquits, one ulp above convicts
+    threshold = scalar_region_sd([0.0, 0.0, 7.5])
+    regions = [([0.0, 0.0], 7.5)]
+    assert _kernel(regions, threshold)[0][0] == CLEARED
+    assert _kernel(regions, np.nextafter(threshold, 0.0))[0][0] == DETECTED
+    _check_kernel(regions, threshold)
+
+
+def test_spreads_are_the_scalar_loop_bit_for_bit():
+    """Over many noisy regions, in one batch and one by one through
+    region_sd. Squaring by d * d instead of pow differs from ``** 2`` in the
+    last bit on about 1 in 1,000 deviations, which this batch catches."""
+    rng = random.Random(5)
+    regions = [([rng.gauss(20.0, 1.5) for _ in range(rng.randint(1, CAP + 1))],
+                rng.gauss(20.0, 3.0)) for _ in range(5000)]
+    _check_kernel(regions, 1.0)
+    for values, _ in regions[:500]:
+        assert _same(region_sd(values), scalar_region_sd(values))
+
+
+def test_overflowing_spread_leaves_the_suspect_pending():
+    """A square that overflows makes the spread inf, not an OverflowError,
+    so the region is invalid."""
+    assert region_sd([1e155, -1e155]) == math.inf
+    res = classify_suspect(ConsensusRegion([1e155, -1e155]), 0.0,
+                           DetectionConfig(consensus_threshold=1e155))
+    assert res.outcome is ClassifyOutcome.REGION_INVALID
+    assert res.region_sd == math.inf

@@ -423,3 +423,45 @@ def test_reverse_slot_index_points_back(n_nodes):
                 assert (row, adjacency[row][slot]) == (neigh[k], i)
             else:
                 assert (row, slot) == (i, k)
+
+
+def _write_trace(path, rows):
+    """A reading trace with one list of node readings per round."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("round,node_id,value\n")
+        for rnd, readings in enumerate(rows):
+            fh.writelines(f"{rnd},{node},{value}\n" for node, value in enumerate(readings))
+    return path
+
+
+@pytest.mark.parametrize("cap, passes", [(2, 1), (3, 2)])
+def test_a_clear_past_the_region_cap_takes_one_pass(cap, passes, tmp_path, monkeypatch):
+    """Six mutual neighbors; nodes 3 and 5 read 45 in round 2, and in
+    round 3 node 3 is back while node 5 is not. Nodes 0, 1, 2 and 4 clear
+    node 3, a similar sender with 2 or 3 eligible slots before it, then
+    convict node 5. With a cap of 2 no clear enters node 5's region, so the
+    round's suspects are judged in one pass; with a cap of 3 rows 0, 1 and
+    2 judge node 5 again."""
+    base = [15.0, 15.5, 16.0, 16.5, 17.0, 17.5]
+    off = [45.0 if node in (3, 5) else v for node, v in enumerate(base)]
+    back = [45.0 if node == 5 else v for node, v in enumerate(base)]
+    cfg = golden_config(_write_trace(tmp_path / "trace.csv", [base, base, off, back]))
+    cfg.n_rounds = 4
+    cfg.detection.region_cap = cap
+    rounds, calls = [], []
+    run_round, kernel = engine.run_round, engine.consensus_verdicts
+
+    def counted(world, cfg):
+        rounds.append(world.round)
+        return run_round(world, cfg)
+
+    def judged(*args):
+        calls.append(rounds[-1])
+        return kernel(*args)
+
+    result, _ = run_recorded(cfg, monkeypatch, run_round=counted, consensus_verdicts=judged)
+    verdicts = [(e[1], e[2], e[3]) for e in result.events if e[0] == 3 and e[1] in (
+        EVENT_SUSPECT_CLEARED, EVENT_ATTACKER_DETECTED)]
+    assert verdicts == [(kind, i, j) for i in (0, 1, 2, 4) for kind, j in (
+        (EVENT_SUSPECT_CLEARED, 3), (EVENT_ATTACKER_DETECTED, 5))]
+    assert calls.count(3) == passes

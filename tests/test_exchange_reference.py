@@ -10,6 +10,7 @@ must produce identical runs, float for float.
 """
 
 import random
+import sys
 from typing import List, Optional
 
 import pytest
@@ -228,6 +229,18 @@ CASES = {
                                       sensing=FieldConfig(noise_sigma=1.5),
                                       detection=DetectionConfig(consensus_threshold=1.0)),
                        EVENT_SUSPECT_CLEARED),
+    # the smallest and a wide consensus region: a clear changes later
+    # regions only within the first region_cap eligible slots
+    "region-cap-1": (lambda _: _cfg(seed=1, attack=AttackConfig(attack_type="sensitive"),
+                                    sensing=FieldConfig(noise_sigma=1.5),
+                                    detection=DetectionConfig(consensus_threshold=1.0,
+                                                              region_cap=1)),
+                     EVENT_SUSPECT_CLEARED),
+    "wide-region": (lambda _: _cfg(seed=1, attack=AttackConfig(attack_type="sensitive"),
+                                   sensing=FieldConfig(noise_sigma=1.5),
+                                   detection=DetectionConfig(consensus_threshold=1.0,
+                                                             region_cap=12)),
+                    EVENT_SUSPECT_CLEARED),
     "crash": (lambda _: _cfg(seed=1, crash_fraction=0.2, crash_round=10),
               EVENT_ATTACKER_DETECTED),
     # exact readings and a tight consensus threshold convict attackers whose
@@ -283,27 +296,41 @@ def test_flattened_round_matches_reference(case, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("case", ["churn", "crash", "fdi", "mixed-verdicts", "multi-block",
-                                  "sensitive", "similar-conviction"])
+                                  "region-cap-1", "sensitive", "similar-conviction",
+                                  "wide-region"])
 def test_reused_region_equals_a_fresh_build(case, tmp_path, monkeypatch):
-    """Every consensus check gets, float for float, the region the
+    """Every consensus check judges, float for float, the region the
     reference round builds fresh at the same (round, receiver, sender),
-    although the engine reuses one region across checks while its inputs
-    hold and reads last round's state above the slot."""
+    although the engine gathers every region of a block at once and reads
+    last round's state above the slot.
 
-    def recording(regions):
-        def checked(state, sender, reading, verdict, region, cfg, rnd):
-            if sender in state.suspects:
-                regions[(rnd, state.node_id, sender)] = region
-            return process_suspect(state, sender, reading, verdict, region, cfg, rnd)
-        return checked
+    The engine's regions are the inputs of ``consensus_verdicts``; its
+    caller holds the block (``b``) and the judged cells (``rows``,
+    ``cols``). A cell judged again in a later pass keeps its last region."""
+    rounds = []
+    run_round = engine.run_round
+    kernel = engine.consensus_verdicts
+
+    def counted(world, cfg):
+        rounds.append(world.round)
+        return run_round(world, cfg)
+
+    def gathered(values, sizes, readings, threshold):
+        caller = sys._getframe(1).f_locals
+        b, rows, cols = caller["b"], caller["rows"], caller["cols"]
+        for r, k, row, size in zip(rows.tolist(), cols.tolist(), values.tolist(),
+                                   sizes.tolist()):
+            flat[(rounds[-1], b.lo + r, b.nbr.item(r, k))] = [v.hex() for v in row[:size]]
+        return kernel(values, sizes, readings, threshold)
+
+    def built(state, sender, reading, verdict, region, cfg, rnd):
+        if sender in state.suspects:
+            ref[(rnd, state.node_id, sender)] = [v.hex() for v in region.values]
+        return process_suspect(state, sender, reading, verdict, region, cfg, rnd)
 
     flat, ref = {}, {}
-    run_recorded(CASES[case][0](tmp_path), monkeypatch, process_suspect=recording(flat))
-    run_reference(CASES[case][0](tmp_path), monkeypatch, process_suspect=recording(ref))
+    run_recorded(CASES[case][0](tmp_path), monkeypatch, run_round=counted,
+                 consensus_verdicts=gathered)
+    run_reference(CASES[case][0](tmp_path), monkeypatch, process_suspect=built)
+    assert ref
     assert flat == ref
-    # a region handed to two checks is one reused object
-    reused = len(flat) - len({id(region) for region in flat.values()})
-    assert len(flat) > reused
-    # a churn receiver seldom checks two suspects in one pass, so its run
-    # may reuse no region; each other case does
-    assert reused > 0 or case == "churn"

@@ -41,6 +41,13 @@ CONFIGS = {
                        "detection_enabled": "false"}, 2, 1, 1),
     "noisy-400": ({"n_nodes": "400", "area_width_m": "400", "area_height_m": "400",
                    "n_rounds": "8", "attack_type": "sensitive", "noise_sigma": "1.5"}, 2, 5, 1),
+    # the smallest and a wide consensus region, with clears and convictions
+    "region-cap-1": ({"n_nodes": "40", "n_rounds": "40", "attack_type": "sensitive",
+                      "noise_sigma": "1.5", "consensus_threshold": "1.0",
+                      "consensus_region_cap": "1"}, 2, 1, 1),
+    "wide-region": ({"n_nodes": "40", "n_rounds": "40", "attack_type": "sensitive",
+                     "noise_sigma": "1.5", "consensus_threshold": "1.0",
+                     "consensus_region_cap": "12"}, 2, 1, 1),
     # the similar flags settle, then the crash at round 50 changes only the
     # excluded set of cluster extraction
     "crash-flags-hold": ({"n_nodes": "100", "n_rounds": "80", "fdi_offset_min": "20",
