@@ -150,6 +150,10 @@ class _AtomicCsv:
         and floats with repr, as _fmt would."""
         self._writer.writerows(rows)
 
+    def write_text(self, text: str) -> None:
+        """Rows already written out as CSV lines, each ending in \\r\\n."""
+        self._fh.write(text)
+
     def commit(self) -> None:
         self._fh.close()
         os.replace(self._tmp, self.path)
@@ -218,10 +222,12 @@ def run_sweep(cfg: ScenarioConfig, runs: int, base_seed: int, out_dir: str,
             ts_csv.write_rows((run_idx, rnd, total, clean, bl)
                               for (rnd, total, clean), bl in zip(result.availability,
                                                                  result.blacklisted_counts))
-            ev_csv.write_rows((run_idx, rnd, event, node,
-                               "na" if subject is None else subject,
-                               "na" if value is None else value)
-                              for rnd, event, node, subject, value in result.events)
+            # no field needs quoting: event names are constants, the rest
+            # ints and float reprs, as csv.writer would write them
+            ev_csv.write_text("".join([
+                f"{run_idx},{rnd},{event},{node},{'na' if subject is None else subject},"
+                f"{'na' if value is None else repr(value)}\r\n"
+                for rnd, event, node, subject, value in result.events]))
 
         if jobs > 1 and runs > 1:
             with get_context("fork").Pool(processes=min(jobs, runs)) as pool:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -45,6 +45,9 @@ _ADJACENCY_BLOCK_CELLS = 1 << 14
 NO_RECORD = -1
 # what a phase-2 slot logs beside consensus_verdicts' codes (PENDING logs nothing)
 _ADDED, _DISCARDED = 3, 4
+# the event a phase-2 slot logs, by its code
+_EVENT_NAMES = (None, EVENT_SUSPECT_CLEARED, EVENT_ATTACKER_DETECTED, EVENT_SUSPECT_ADDED,
+                EVENT_DM_DISCARDED)
 
 
 class ConfigError(Exception):
@@ -387,8 +390,8 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
             if live[i]:
                 reading[i] = forge_reading(float(own[i]), float(aggregate[i]), cfg.attack,
                                            cthresh, world.forge_rng(i))
-    world.events.extend([(rnd, EVENT_DM_SENT, i, None, x)
-                         for i, x in zip(ids, reading[live].tolist())])
+    world.events.extend(zip(repeat(rnd), repeat(EVENT_DM_SENT), ids, repeat(None),
+                            reading[live].tolist()))
     valid = live & np.isfinite(reading) & np.isfinite(aggregate)
     count = np.count_nonzero(slots.flag, axis=1).astype(float)
 
@@ -535,20 +538,19 @@ def _apply_outcomes(world: WorldState, b: _Block, cells: np.ndarray, event: np.n
     its detection record (spreads from ``base`` and ``spread``) and alert."""
     rnd = world.round
     states = world.states
-    append = world.events.append
-    for cell, i, j, x, what in zip(cells.tolist(), (cells // b.nbr.shape[1] + b.lo).tolist(),
-                                   b.nbr.take(cells).tolist(), b.x.take(cells).tolist(),
-                                   event.take(cells).tolist()):
-        if what == _DISCARDED:
-            append((rnd, EVENT_DM_DISCARDED, i, j, None))
-        elif what == _ADDED:
-            append((rnd, EVENT_SUSPECT_ADDED, i, j, x))
+    codes = event.take(cells)
+    receivers = (cells // b.nbr.shape[1] + b.lo).tolist()
+    senders = b.nbr.take(cells).tolist()
+    readings = np.where(codes == _DISCARDED, None, b.x.take(cells)).tolist()
+    codes = codes.tolist()
+    world.events.extend(zip(repeat(rnd), map(_EVENT_NAMES.__getitem__, codes), receivers,
+                            senders, readings))
+    for cell, i, j, x, what in zip(cells.tolist(), receivers, senders, readings, codes):
+        if what == _ADDED:
             states[i].suspects[j] = SuspectEntry(rnd)
         elif what == CLEARED:
-            append((rnd, EVENT_SUSPECT_CLEARED, i, j, x))
             del states[i].suspects[j]
-        else:
-            append((rnd, EVENT_ATTACKER_DETECTED, i, j, x))
+        elif what == DETECTED:
             st = states[i]
             del st.suspects[j]
             st.blacklist[j] = BlacklistEntry(rnd, i, x)

@@ -4,10 +4,13 @@ of externally prepared trace files."""
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
+import sys
+import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -78,21 +81,94 @@ def load_trace(path: str) -> TraceTable:
     """Parse a trace CSV (header ``round,node_id,value``) into a dense table.
 
     Node ids must cover 0..n-1 and rounds 0..R-1 with every pair present
-    exactly once. Any structural problem raises TraceError naming the line
-    or the missing pair.
+    exactly once. Any structural problem, undecodable bytes included, raises
+    TraceError naming the line or the missing pair.
+
+    A regular trace is read by numpy's C parser and checked column by column
+    (``_parse_regular``). Any other text goes through the row loop
+    (``_parse_rows``), the one place that names an offending line; on a
+    regular trace it gives the same table.
     """
     if not os.path.exists(path):
         raise TraceError(f"trace not found: {path}")
-    entries = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise TraceError(f"trace format error at line {line}: not UTF-8 text") from None
+    values = _parse_regular(data)
+    return TraceTable(_parse_rows(text) if values is None else values)
+
+
+_TRACE_DTYPE = np.dtype([("round", np.int64), ("node", np.int64), ("value", np.float64)])
+# every byte a regular data line holds besides its two commas and line end
+_NUMBER_BYTES = b"0123456789+-.eE"
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)  # Python >= 3.11
+
+
+def _parse_regular(data: bytes) -> Optional[np.ndarray]:
+    """The readings of a regular trace, or None when the text is not regular.
+
+    Regular means: the exact header line; data lines that all end in LF or
+    all in CRLF (the last one may have no line end), none blank, each of
+    two commas and number characters only, none longer than ``int`` and
+    ``csv`` take; ``np.loadtxt`` reads every line with no warning; and the
+    columns hold no negative id, no non-finite value and every (round,
+    node) pair once. The row loop accepts such a text with the same table.
+    """
+    head, _, body = data.partition(b"\n")
+    if head.removesuffix(b"\r") != ",".join(TRACE_HEADER).encode():
+        return None
+    skeleton = body.translate(None, _NUMBER_BYTES)
+    eol = b"\r\n" if skeleton.startswith(b",,\r") else b"\n"
+    n_lines = (len(skeleton) + len(eol)) // (2 + len(eol))
+    if not n_lines or skeleton.removesuffix(eol) + eol != (b",," + eol) * n_lines:
+        return None
+    # int() reads at most sys.get_int_max_str_digits() digits and csv a field
+    # of at most csv.field_size_limit() characters; numpy has neither limit
+    limit = min(csv.field_size_limit(), _max_str_digits() or csv.field_size_limit())
+    ends = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("\n"))
+    if np.diff(ends, prepend=-1, append=len(body)).max() > limit:
+        return None
+    with warnings.catch_warnings():
+        # numpy < 2 reads "1.0" into an int column with only a DeprecationWarning
+        warnings.simplefilter("error")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceError(f"trace format error at line 1: empty file") from None
-        if [h.strip() for h in header] != TRACE_HEADER:
-            raise TraceError(f"trace format error at line 1: header must be "
-                             f"'{','.join(TRACE_HEADER)}'")
+            rows = np.loadtxt(io.StringIO(body.decode("ascii")), dtype=_TRACE_DTYPE,
+                              delimiter=",", comments=None, quotechar=None, ndmin=1)
+        except (ValueError, OverflowError, Warning):
+            return None
+    rnd, node, value = rows["round"], rows["node"], rows["value"]
+    if len(rows) != n_lines or rnd.min() < 0 or node.min() < 0 \
+            or not np.isfinite(value).all():
+        return None
+    n_rounds, n_nodes = int(rnd.max()) + 1, int(node.max()) + 1
+    # the pair count is checked before any n_rounds x n_nodes array exists;
+    # with it, every in-range cell taken once is every pair present once
+    if n_rounds * n_nodes != len(rows):
+        return None
+    cell = rnd * n_nodes + node
+    if np.bincount(cell, minlength=len(rows)).max() > 1:
+        return None
+    values = np.empty(len(rows))
+    values[cell] = value
+    return values.reshape(n_rounds, n_nodes)
+
+
+def _parse_rows(text: str) -> np.ndarray:
+    """The readings of a decoded trace, parsed one row at a time."""
+    entries = {}
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TraceError(f"trace format error at line 1: empty file") from None
+    if [h.strip() for h in header] != TRACE_HEADER:
+        raise TraceError(f"trace format error at line 1: header must be "
+                         f"'{','.join(TRACE_HEADER)}'")
+    try:
         for ln, row in enumerate(reader, start=2):
             if len(row) != 3:
                 raise TraceError(f"trace format error at line {ln}: expected 3 fields")
@@ -111,6 +187,8 @@ def load_trace(path: str) -> TraceTable:
                 raise TraceError(f"trace format error at line {ln}: "
                                  f"duplicate pair (round {rnd}, node {node})")
             entries[(rnd, node)] = value
+    except csv.Error as exc:
+        raise TraceError(f"trace format error at line {reader.line_num}: {exc}") from None
     if not entries:
         raise TraceError("trace format error: no data rows")
     keys = np.array(list(entries))
@@ -122,4 +200,4 @@ def load_trace(path: str) -> TraceTable:
         raise TraceError(f"trace format error: missing pair (round {r}, node {n})")
     values = np.empty((n_rounds, n_nodes))
     values[keys[:, 0], keys[:, 1]] = list(entries.values())
-    return TraceTable(values)
+    return values

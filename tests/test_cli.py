@@ -161,6 +161,17 @@ def test_main_trace_error_exit(tmp_path):
                  "--out", str(tmp_path / "o")]) == EXIT_TRACE
 
 
+def test_main_non_utf8_trace_is_a_trace_error(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(b"round,node_id,value\n0,0,1.5\n0,1,\xff\xfe\n")
+    code = main(["--trace", str(trace), "--nodes", "2", "--attackers-pct", "0",
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_TRACE
+    assert capsys.readouterr().err == \
+        "trace error: trace format error at line 3: not UTF-8 text\n"
+    assert not (tmp_path / "o" / "events.csv").exists()
+
+
 def test_main_io_error_exit(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory", encoding="utf-8")

@@ -1,9 +1,14 @@
 """Synthetic field generation and trace ingestion."""
 
-import pytest
+import tracemalloc
 
-from fdisim.sensing import (FieldConfig, SynthField, TraceError, load_trace,
-                            synth_reading)
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fdisim.sensing import (FieldConfig, SynthField, TraceError, _parse_regular, _parse_rows,
+                            load_trace, synth_reading)
 
 
 def test_synth_degenerate_field():
@@ -142,3 +147,127 @@ def test_synth_field_matches_formula_bit_for_bit():
     for node, pos in enumerate(positions):
         for rnd in range(50):
             assert field.reading(node, rnd) == synth_reading(pos, rnd, cfg)
+
+
+# --- the numpy parser path against the row loop --------------------------
+
+def _outcome(parse):
+    """("table", shape, bytes) of a parse, or ("error", message)."""
+    try:
+        values = parse()
+    except TraceError as exc:
+        return ("error", str(exc))
+    return ("table", values.shape, values.tobytes())
+
+
+def _id_text(draw, value):
+    return draw(st.sampled_from([
+        str(value), f"+{value}", f"0{value}", f" {value} ", f"{value}.0", f'"{value}"',
+        f"-{value}", "-1", f"{value}_0", "\uff11" if value == 1 else str(value), f"{value}e0"]))
+
+
+def _value_text(draw):
+    value = draw(st.floats(allow_nan=True, allow_infinity=True))
+    return draw(st.sampled_from([
+        repr(value), repr(value), repr(value), f" {value!r}", f'"{value!r}"', "-0.0",
+        "1e400", "-1e-400", "+.5", "5.", "1_0.5", "Infinity", "nan", "1e", "", "0x1p3"]))
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace texts near the regular form: line endings, blank lines, odd
+    field spellings, non-finite values and id faults are each drawn."""
+    n_rounds, n_nodes = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    pairs = draw(st.permutations([(r, n) for r in range(n_rounds) for n in range(n_nodes)]))
+    if len(pairs) > 1 and draw(st.booleans()):
+        pairs.pop(draw(st.integers(0, len(pairs) - 1)))          # a missing pair
+    if draw(st.integers(0, 4)) == 0:
+        pairs.insert(draw(st.integers(0, len(pairs))), draw(st.sampled_from(pairs)))
+    odd = draw(st.integers(0, 3)) == 0  # most texts spell every field plainly
+    lines = [draw(st.sampled_from(["round,node_id,value"] * 4
+                                  + [" round , node_id,value", "round,node,value"]))]
+    for r, n in pairs:
+        if odd:
+            fields = [_id_text(draw, r), _id_text(draw, n), _value_text(draw)]
+        else:
+            fields = [str(r), str(n), repr(draw(st.floats(-1e6, 1e6)))]
+        lines.append(",".join(fields))
+    for _ in range(draw(st.integers(0, 2)) if odd else 0):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    eol = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) if eol == "mixed" else eol for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=trace_texts())
+def test_load_trace_matches_the_row_loop(text, tmp_path_factory):
+    path = tmp_path_factory.mktemp("trace") / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    expected = _outcome(lambda: _parse_rows(text))
+    assert _outcome(lambda: load_trace(str(path)).values) == expected
+    fast = _parse_regular(text.encode("utf-8"))
+    if fast is not None:
+        assert ("table", fast.shape, fast.tobytes()) == expected
+
+
+@pytest.mark.parametrize("text", [
+    "round,node_id,value\n0,0,1.5\n0,1,-0.0\n1,1,4.5\n1,0,3.5\n",
+    "round,node_id,value\r\n0,0,1.5\r\n0,1,2.5\r\n",
+    "round,node_id,value\n0,0,1e-300\n0,1,+.5",
+    "round,node_id,value\r\n+0,01,5.\r\n0,+0,-1E+3",
+])
+def test_regular_traces_take_the_numpy_path(text):
+    fast = _parse_regular(text.encode())
+    assert fast is not None
+    rows = _parse_rows(text)
+    assert fast.shape == rows.shape and fast.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("round,node_id,value\n0,0,1.5\n\n0,1,2.5\n", "line 3: expected 3 fields"),
+    ("round,node_id,value\n0,0,1.5\n0,1,nan\n", "line 3: non-finite value"),
+    ("round,node_id,value\n0,0,1.5\n0,0,2.5\n", "line 3: duplicate pair"),
+    ("round,node_id,value\n0,0,1.5\n-1,1,2.5\n", "line 3: negative round"),
+    ("round,node_id,value\n0,0,1.5\n1,1,2.5\n", r"missing pair \(round 0, node 1\)"),
+    ("round,node_id,value\n0,0,1.0\n0,1,2.5\n0,1.0,2.5\n", "line 4: non-numeric"),
+    ("round,node_id,value\n", "no data rows"),
+])
+def test_irregular_traces_go_to_the_row_loop(tmp_path, text, message):
+    assert _parse_regular(text.encode()) is None
+    with pytest.raises(TraceError, match=message):
+        load_trace(_write(tmp_path / "t.csv", text))
+
+
+def test_huge_node_id_fails_fast_without_a_dense_table(tmp_path):
+    path = _write(tmp_path / "t.csv", "round,node_id,value\n0,0,1.5\n0,1000000000,2.5\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(TraceError, match=r"^trace format error: missing pair "
+                                             r"\(round 0, node 1\)$"):
+            load_trace(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_a_field_longer_than_csv_takes_is_a_trace_error(tmp_path):
+    path = _write(tmp_path / "t.csv", "round,node_id,value\n0,0,0." + "0" * 200_000 + "1\n")
+    with pytest.raises(TraceError, match="line 2: field larger than field limit"):
+        load_trace(path)
+
+
+def test_an_id_past_the_int_digit_limit_reads_as_in_the_row_loop(tmp_path):
+    # from Python 3.11, int() refuses more than 4,300 digits; numpy does not
+    text = "round,node_id,value\n0," + "0" * 5000 + ",1.5\n"
+    path = _write(tmp_path / "t.csv", text)
+    assert _outcome(lambda: load_trace(path).values) == _outcome(lambda: _parse_rows(text))
+
+
+def test_undecodable_bytes_are_a_trace_error(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"round,node_id,value\n0,0,1.5\n0,1,\xff\xfe\n")
+    with pytest.raises(TraceError, match="line 3: not UTF-8 text"):
+        load_trace(str(path))

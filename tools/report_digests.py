@@ -10,7 +10,8 @@ Each checkout runs in a process of its own, with its ``src/`` and
 ``perfbench/`` first on the path, so the two never share imported code.
 The sweeps go through that checkout's ``fdisim.cli.run_sweep``; the three
 benchmark workloads take their configs and, for ``scale-trace``, the
-generated trace from its ``perfbench/workloads.py``. A line of output is
+generated trace from its ``perfbench/workloads.py``, whose ``trace_values``
+also feeds the ``trace-detect-lf`` config. A line of output is
 ``config  report  sha256``. ``--compare`` prints the lines that differ and
 exits 1 if any does, 0 otherwise.
 """
@@ -24,7 +25,8 @@ import subprocess
 import sys
 from typing import Dict, List, Optional
 
-# name -> (config overrides as the CLI takes them, runs, base seed, pool workers)
+# name -> (config overrides as the CLI takes them, runs, base seed, pool workers
+# [, "lf" for readings from a generated trace written with LF line ends])
 CONFIGS = {
     "criterion-7": ({"n_nodes": "30", "n_rounds": "200", "seed": "7"}, 2, 7, 1),
     "default-fdi-600": ({}, 1, 1, 1),
@@ -52,6 +54,10 @@ CONFIGS = {
     # excluded set of cluster extraction
     "crash-flags-hold": ({"n_nodes": "100", "n_rounds": "80", "fdi_offset_min": "20",
                           "crash_fraction": "0.1", "crash_round": "50"}, 2, 1, 1),
+    # readings from a generated trace with LF line ends (the scale-trace
+    # workload's trace has CRLF ones), with detection on
+    "trace-detect-lf": ({"n_nodes": "100", "n_rounds": "30", "attack_type": "sensitive",
+                         "noise_sigma": "1.5"}, 2, 1, 1, "lf"),
 }
 WORKLOADS = ("sweep-fdi", "noisy-sensitive", "scale-trace")
 BENCHMARK_SEED = 1
@@ -73,9 +79,16 @@ with tempfile.TemporaryDirectory() as tmp:
         overrides = dict(overrides)
         if trace and trace[0]:
             path = os.path.join(tmp, name + "-trace.csv")
-            workloads.write_trace(path, workloads.trace_values(
-                int(sys.argv[4]), int(overrides.get("n_nodes", "100")),
-                int(overrides["n_rounds"])))
+            values = workloads.trace_values(int(sys.argv[4]),
+                                            int(overrides.get("n_nodes", "100")),
+                                            int(overrides["n_rounds"]))
+            if trace[0] == "lf":
+                with open(path, "w", newline="", encoding="utf-8") as fh:
+                    fh.write("round,node_id,value\n" + "".join(
+                        f"{rnd},{node},{value!r}\n" for rnd, row in enumerate(values.tolist())
+                        for node, value in enumerate(row)))
+            else:
+                workloads.write_trace(path, values)
             overrides["trace_path"] = path
         cfg = parse_config(None, overrides)
         out_dir = os.path.join(tmp, name)
