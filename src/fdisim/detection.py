@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -130,11 +130,6 @@ def classify_suspect(region: ConsensusRegion, suspect_reading: float,
 
 
 @dataclass(slots=True)
-class SuspectEntry:
-    first_flag_round: int
-
-
-@dataclass(slots=True)
 class BlacklistEntry:
     detected_round: int
     detector: int
@@ -161,39 +156,39 @@ def process_suspect(state, sender: int, reading: float, similar_verdict: bool,
     neighbor record), acquittal clears it, an
     invalid region leaves it pending. Any other sender is dissimilar and is
     added to the suspect list. ``region`` is read only for a sender already
-    suspected and may be None otherwise.
+    suspected and may be None otherwise. ``state.suspects`` is a set of ids.
     """
-    suspects: Dict[int, SuspectEntry] = state.suspects
+    suspects: Set[int] = state.suspects
     if sender in suspects:
         result = classify_suspect(region, reading, cfg)
         if result.outcome is ClassifyOutcome.ATTACKER:
-            del suspects[sender]
+            suspects.discard(sender)
             state.blacklist[sender] = BlacklistEntry(rnd, state.node_id, reading)
             return (SuspectOutcome.DETECTED,
                     AlertMessage(detector=state.node_id, attacker=sender, attacker_reading=reading),
                     result)
         if result.outcome is ClassifyOutcome.HONEST:
-            del suspects[sender]
+            suspects.discard(sender)
             return SuspectOutcome.CLEARED, None, result
         return SuspectOutcome.PENDING, None, result
-    suspects[sender] = SuspectEntry(rnd)
+    suspects.add(sender)
     return SuspectOutcome.ADDED, None, None
 
 
-def handle_alert(state, am: AlertMessage, is_leader: bool, rnd: int) -> bool:
-    """Apply an alert to one node's state.
+def handle_alert(blacklist: Dict[int, BlacklistEntry], am: AlertMessage, is_leader: bool,
+                 rnd: int) -> bool:
+    """Apply an alert to one node's blacklist.
 
-    The attacker is blacklisted and dropped from the suspect list; the
-    caller forgets its neighbor record. Returns True when the receiving node is a leader
-    and the entry was new, i.e. the alert should go out on the leader
+    The attacker is blacklisted; the caller drops it from the suspects and
+    forgets its neighbor record. Returns True when the receiving node is a
+    leader and the entry was new, i.e. the alert should go out on the leader
     overlay; duplicates change nothing and are never re-forwarded.
     """
     if not validate_alert_message(am):
         return False
-    if am.attacker in state.blacklist:
+    if am.attacker in blacklist:
         return False
-    state.blacklist[am.attacker] = BlacklistEntry(rnd, am.detector, am.attacker_reading)
-    state.suspects.pop(am.attacker, None)
+    blacklist[am.attacker] = BlacklistEntry(rnd, am.detector, am.attacker_reading)
     return is_leader
 
 

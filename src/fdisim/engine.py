@@ -23,7 +23,7 @@ from .attacks import AttackConfig, GroundTruth, attack_is_active, forge_reading,
 # wraps them in this namespace by name
 from .clustering import (ClusterConfig, ClusterSnapshot, SimilarGraph, build_data_message,
                          extract_clusters, handle_data_message, prune_ids)
-from .detection import (CLEARED, DETECTED, BlacklistEntry, DetectionConfig, SuspectEntry,
+from .detection import (CLEARED, DETECTED, BlacklistEntry, DetectionConfig,
                         build_consensus_region, consensus_verdicts, handle_alert,
                         process_suspect)
 from .domain import AlertMessage, require_finite, transition_label, validate_data_message
@@ -103,12 +103,13 @@ class NeighborSlots:
     whether the receiver blacklists or suspects that neighbor. ``sum_aw``
     and ``sum_w`` are each receiver's running sums of aggregate * count and
     of count over its similar slots. ``rev[i, k]`` is the flat cell of i in
-    the row of its k-th neighbor; a cell past i's degree maps to itself."""
+    the row of its k-th neighbor; a cell past i's degree maps to itself.
+    ``degree`` is each node's neighbor count."""
 
     def __init__(self, adjacency: List[List[int]]) -> None:
         n = len(adjacency)
         self.adjacency = adjacency
-        degree = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
+        self.degree = degree = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
         shape = (n, max(1, int(degree.max())))
         real = np.arange(shape[1]) < degree[:, None]
         self.nbr = np.zeros(shape, dtype=np.intp)
@@ -151,18 +152,6 @@ class NeighborSlots:
             np.subtract.at(self.sum_w, r, self.rec_c[r, k])
         self.flag[rows, cols] = False
         self.seen[rows, cols] = NO_RECORD
-
-
-class NodeState:
-    """One node's protocol state; its neighbor records live in its row of
-    the world's slot arrays."""
-
-    __slots__ = ("node_id", "suspects", "blacklist")
-
-    def __init__(self, node_id: int) -> None:
-        self.node_id = node_id
-        self.suspects: Dict[int, SuspectEntry] = {}
-        self.blacklist: Dict[int, BlacklistEntry] = {}
 
 
 @dataclass(slots=True)
@@ -228,33 +217,30 @@ def compute_adjacency(positions: Sequence[Tuple[float, float]],
 
 
 class WorldState:
-    """Everything one run mutates, round by round."""
+    """Everything one run mutates, round by round. A node's neighbor
+    records, similar flags and suspects live in its row of the slot arrays;
+    ``blacklists[i]`` holds node i's blacklist entries."""
 
     def __init__(self, cfg: ScenarioConfig, adjacency, ground_truth: GroundTruth,
                  source, crashed: Set[int]) -> None:
         self.cfg = cfg
-        self.adjacency = adjacency
         self.ground_truth = ground_truth
         self.source = source
         self.crashed = crashed
         self.slots = NeighborSlots(adjacency)
-        self.states = [NodeState(i) for i in range(cfg.n_nodes)]
+        self.blacklists: List[Dict[int, BlacklistEntry]] = [{} for _ in range(cfg.n_nodes)]
         self.similar = SimilarGraph(self.slots.nbr, self.slots.flag, self.slots.rev)
         self.round = 0
         self.pending_alerts: List[Tuple[AlertMessage, int]] = []
         self.excluded: Set[int] = set()
         self.blacklisted_union: Set[int] = set()
         self.global_leaders: Set[int] = set()
-        # per target: adjacent nodes currently blacklisting it (global
-        # exclusion trips when this covers the whole neighborhood)
-        self.blacklister_count: Dict[int, int] = {}
         self.total_interactions = 0
         self.events: List[Tuple] = []
         self.snapshots: List[ClusterSnapshot] = []
         self.detections: List[DetectionRecord] = []
         self.blacklisted_counts: List[int] = []
         self._forge_rngs: Dict[int, random.Random] = {}
-        self._bl_touched: Set[int] = set()
 
     def forge_rng(self, node_id: int) -> random.Random:
         rng = self._forge_rngs.get(node_id)
@@ -283,8 +269,6 @@ class WorldState:
         if k is not None:
             self.slots.blocked[observer, k] = True
             self.slots.suspected[observer, k] = False
-            self.blacklister_count[target] = self.blacklister_count.get(target, 0) + 1
-            self._bl_touched.add(target)
         return k
 
 
@@ -296,11 +280,11 @@ def _deliver_alert(world: WorldState, receiver: int, am: AlertMessage, rnd: int)
     forgets the attacker's record; a conviction's is forgotten by the
     phase-2 block's write-back instead.
     """
-    st = world.states[receiver]
-    if am.attacker in st.blacklist or world.node_is_dead(receiver):
+    blacklist = world.blacklists[receiver]
+    if am.attacker in blacklist or world.node_is_dead(receiver):
         return False
-    forward = handle_alert(st, am, receiver in world.global_leaders, rnd)
-    if am.attacker not in st.blacklist:
+    forward = handle_alert(blacklist, am, receiver in world.global_leaders, rnd)
+    if am.attacker not in blacklist:
         return False  # alert failed validation; nothing applied
     k = world._note_blacklisted(receiver, am.attacker)
     if k is not None:
@@ -532,12 +516,11 @@ def _judge(b: _Block, old_x: np.ndarray, cand: np.ndarray, dcfg: DetectionConfig
 def _apply_outcomes(world: WorldState, b: _Block, cells: np.ndarray, event: np.ndarray,
                     base: Optional[np.ndarray], spread: Optional[np.ndarray],
                     fresh_alerts: List[AlertMessage]) -> None:
-    """Apply the block's ``event`` at the given cells (row * width + slot),
-    in cell order: discard events, new suspects, acquittals and
-    convictions, each with its event, its suspect and blacklist entries,
-    its detection record (spreads from ``base`` and ``spread``) and alert."""
+    """Log the block's ``event`` at the given cells (row * width + slot), in
+    cell order: discards, new suspects, acquittals and convictions. A
+    conviction also writes its blacklist entry, its detection record
+    (spreads from ``base`` and ``spread``) and its alert."""
     rnd = world.round
-    states = world.states
     codes = event.take(cells)
     receivers = (cells // b.nbr.shape[1] + b.lo).tolist()
     senders = b.nbr.take(cells).tolist()
@@ -546,14 +529,8 @@ def _apply_outcomes(world: WorldState, b: _Block, cells: np.ndarray, event: np.n
     world.events.extend(zip(repeat(rnd), map(_EVENT_NAMES.__getitem__, codes), receivers,
                             senders, readings))
     for cell, i, j, x, what in zip(cells.tolist(), receivers, senders, readings, codes):
-        if what == _ADDED:
-            states[i].suspects[j] = SuspectEntry(rnd)
-        elif what == CLEARED:
-            del states[i].suspects[j]
-        elif what == DETECTED:
-            st = states[i]
-            del st.suspects[j]
-            st.blacklist[j] = BlacklistEntry(rnd, i, x)
+        if what == DETECTED:
+            world.blacklists[i][j] = BlacklistEntry(rnd, i, x)
             world._note_blacklisted(i, j)
             world.detections.append(DetectionRecord(rnd, i, j, x, base.item(cell),
                                                     spread.item(cell)))
@@ -583,8 +560,8 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
     fresh_alerts, unheard = _exchange(world, cfg)
 
     # phase 3: alert delivery; scheduled floods first, then fresh detections
-    if world.pending_alerts:
-        due = [am for am, when in world.pending_alerts if when <= rnd]
+    due = [am for am, when in world.pending_alerts if when <= rnd]
+    if due:
         world.pending_alerts = [(am, when) for am, when in world.pending_alerts if when > rnd]
         leaders = sorted(world.global_leaders)
         for am in due:
@@ -607,16 +584,15 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
                 events.append((rnd, EVENT_ALERT_FORWARDED, target, am.attacker,
                                am.attacker_reading))
 
-    # newly silenced nodes: excluded once every neighbor blacklists them
-    if world._bl_touched:
-        for target in sorted(world._bl_touched):
-            if target in world.excluded:
-                continue
-            degree = len(world.adjacency[target])
-            if degree > 0 and world.blacklister_count.get(target, 0) >= degree:
-                world.excluded.add(target)
-                events.append((rnd, EVENT_NODE_EXCLUDED, target, None, None))
-        world._bl_touched.clear()
+    # newly silenced nodes: excluded once every neighbor blacklists them, that
+    # is, once every cell holding them is blocked; only a conviction (which
+    # raises a fresh alert) or an alert delivery blocks a cell
+    if fresh_alerts or due:
+        silenced = slots.blocked.ravel()[slots.rev].all(axis=1) & (slots.degree > 0)
+        silenced[list(world.excluded)] = False
+        for target in np.flatnonzero(silenced).tolist():
+            world.excluded.add(target)
+            events.append((rnd, EVENT_NODE_EXCLUDED, target, None, None))
 
     # phase 4: TTL maintenance; only unheard senders can have gone stale, and
     # a live receiver drops its stale records in slot order
@@ -683,7 +659,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         detections=world.detections,
         availability=availability,
         blacklisted_counts=world.blacklisted_counts,
-        node_blacklists=[st.blacklist for st in world.states],
+        node_blacklists=world.blacklists,
         confusion=confusion,
         report=report,
         ground_truth=ground_truth,

@@ -3,6 +3,7 @@ of externally prepared trace files."""
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import math
@@ -82,7 +83,8 @@ def load_trace(path: str) -> TraceTable:
 
     Node ids must cover 0..n-1 and rounds 0..R-1 with every pair present
     exactly once. Any structural problem, undecodable bytes included, raises
-    TraceError naming the line or the missing pair.
+    TraceError naming the line or the missing pair. One leading UTF-8
+    byte-order mark, as spreadsheets write, is dropped.
 
     A regular trace is read by numpy's C parser and checked column by column
     (``_parse_regular``). Any other text goes through the row loop
@@ -92,7 +94,7 @@ def load_trace(path: str) -> TraceTable:
     if not os.path.exists(path):
         raise TraceError(f"trace not found: {path}")
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

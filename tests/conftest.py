@@ -54,7 +54,7 @@ class RefNode:
     def __init__(self, node_id: int) -> None:
         self.node_id = node_id
         self.table = NeighborTable()
-        self.suspects = {}
+        self.suspects = set()
         self.blacklist = {}
         self.known_leaders = frozenset()
 

@@ -172,6 +172,20 @@ def test_main_non_utf8_trace_is_a_trace_error(tmp_path, capsys):
     assert not (tmp_path / "o" / "events.csv").exists()
 
 
+def test_main_reads_a_trace_with_a_byte_order_mark(tmp_path):
+    """A "CSV UTF-8" file as spreadsheets write it: a byte-order mark first."""
+    trace = tmp_path / "trace.csv"
+    trace.write_bytes(b"\xef\xbb\xbfround,node_id,value\r\n0,0,1.5\r\n0,1,2.5\r\n")
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_rounds = 1\n", encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["--config", str(cfg), "--trace", str(trace), "--nodes", "2",
+                 "--attackers-pct", "0", "--out", str(out)])
+    assert code == EXIT_OK
+    sent = [r[5] for r in _read_csv(out / "events.csv")[1:] if r[2] == "dm_sent"]
+    assert sent == ["1.5", "2.5"]
+
+
 def test_main_io_error_exit(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory", encoding="utf-8")

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as hst
 from fdisim.detection import (CLEARED, DETECTED, PENDING, BlacklistEntry, ClassifyOutcome,
                               ConsensusRegion, DetectionConfig, build_consensus_region,
                               classify_suspect, consensus_verdicts, handle_alert,
-                              process_suspect, region_sd, SuspectEntry, SuspectOutcome)
+                              process_suspect, region_sd, SuspectOutcome)
 from fdisim.clustering import ClusterConfig, handle_data_message
 from fdisim.domain import AlertMessage, DataMessage
 
@@ -151,7 +151,7 @@ def test_process_suspect_add_then_detect():
 
     outcome, am, res = process_suspect(st, 9, 45.0, False, None, dcfg, 1)
     assert outcome is SuspectOutcome.ADDED and am is None
-    assert 9 in st.suspects and st.suspects[9].first_flag_round == 1
+    assert st.suspects == {9}
 
     region = build_consensus_region(st, 16.0, _similar(st), dcfg.region_cap)
     outcome, am, res = process_suspect(st, 9, 45.0, False, region, dcfg, 2)
@@ -165,7 +165,7 @@ def test_process_suspect_add_then_detect():
 def test_process_suspect_cleared_when_back_in_consensus():
     dcfg = DetectionConfig(consensus_threshold=5.0)
     st = _node_with_similar(0, 16.0, [14.0, 15.0, 17.0, 18.0])
-    st.suspects[9] = SuspectEntry(first_flag_round=0)
+    st.suspects.add(9)
     region = build_consensus_region(st, 16.0, _similar(st), dcfg.region_cap)
     outcome, am, res = process_suspect(st, 9, 22.0, False, region, dcfg, 1)
     assert outcome is SuspectOutcome.CLEARED
@@ -175,7 +175,7 @@ def test_process_suspect_cleared_when_back_in_consensus():
 def test_process_suspect_pending_on_invalid_region():
     dcfg = DetectionConfig(consensus_threshold=5.0)
     st = _node_with_similar(0, 16.0, [])  # no similar neighbors at all
-    st.suspects[9] = SuspectEntry(first_flag_round=0)
+    st.suspects.add(9)
     region = build_consensus_region(st, 16.0, _similar(st), dcfg.region_cap)
     outcome, am, res = process_suspect(st, 9, 45.0, False, region, dcfg, 1)
     assert outcome is SuspectOutcome.PENDING
@@ -184,7 +184,7 @@ def test_process_suspect_pending_on_invalid_region():
 
 def test_build_consensus_region_caps_and_skips():
     st = _node_with_similar(0, 16.0, [14.0, 15.0, 15.5, 16.5, 17.0, 17.5, 18.0])
-    st.suspects[100] = SuspectEntry(0)   # first similar neighbor is suspect
+    st.suspects.add(100)   # first similar neighbor is suspect
     st.blacklist[101] = BlacklistEntry(0, 0, 15.0)
     region = build_consensus_region(st, 16.0, _similar(st), cap=3)
     # own reading plus the three lowest-id eligible similar neighbors
@@ -194,36 +194,33 @@ def test_build_consensus_region_caps_and_skips():
 
 
 def test_handle_alert_new_entry_and_forwarding():
-    st = RefNode(4)
-    victim = 100
-    st.suspects[victim] = SuspectEntry(0)
-    am = AlertMessage(detector=1, attacker=victim, attacker_reading=45.0)
-    assert handle_alert(st, am, is_leader=True, rnd=3) is True
-    assert victim in st.blacklist
-    assert victim not in st.suspects
+    blacklist = {}
+    am = AlertMessage(detector=1, attacker=100, attacker_reading=45.0)
+    assert handle_alert(blacklist, am, is_leader=True, rnd=3) is True
+    assert blacklist == {100: BlacklistEntry(detected_round=3, detector=1, reading=45.0)}
 
 
 def test_handle_alert_duplicate_idempotent():
-    st = RefNode(4)
+    blacklist = {}
     am = AlertMessage(detector=1, attacker=9, attacker_reading=45.0)
-    assert handle_alert(st, am, is_leader=True, rnd=3) is True
-    entry = st.blacklist[9]
-    assert handle_alert(st, am, is_leader=True, rnd=7) is False
-    assert st.blacklist[9] is entry  # unchanged, original round kept
+    assert handle_alert(blacklist, am, is_leader=True, rnd=3) is True
+    entry = blacklist[9]
+    assert handle_alert(blacklist, am, is_leader=True, rnd=7) is False
+    assert blacklist[9] is entry  # unchanged, original round kept
 
 
 def test_handle_alert_common_node_does_not_forward():
-    st = RefNode(4)
+    blacklist = {}
     am = AlertMessage(detector=1, attacker=9, attacker_reading=45.0)
-    assert handle_alert(st, am, is_leader=False, rnd=3) is False
-    assert 9 in st.blacklist
+    assert handle_alert(blacklist, am, is_leader=False, rnd=3) is False
+    assert 9 in blacklist
 
 
 def test_handle_alert_rejects_invalid():
-    st = RefNode(4)
+    blacklist = {}
     bad = AlertMessage(detector=9, attacker=9, attacker_reading=45.0)
-    assert handle_alert(st, bad, is_leader=True, rnd=0) is False
-    assert not st.blacklist
+    assert handle_alert(blacklist, bad, is_leader=True, rnd=0) is False
+    assert not blacklist
 
 
 def _same(a, b) -> bool:

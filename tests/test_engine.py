@@ -384,9 +384,10 @@ def test_doubling_reading_units_doubles_every_reading(attack):
 
 
 def test_alert_forgets_the_attackers_slot(monkeypatch):
-    """A receiver that takes an alert about a similar neighbor drops the
-    neighbor's record and flag, and its running sums lose the neighbor's
-    aggregate, by one subtraction each."""
+    """A receiver that takes an alert about a similar neighbor it suspects
+    blacklists it, drops the neighbor's record, flag and suspect mark, and
+    its running sums lose the neighbor's aggregate, by one subtraction
+    each."""
     cfg = small_cfg(n_rounds=5, attacker_fraction=0.0)
     _, world = run_recorded(cfg, monkeypatch)
     slots = world.slots
@@ -394,10 +395,12 @@ def test_alert_forgets_the_attackers_slot(monkeypatch):
     j = slots.nbr.item(i, k)
     aw, w = slots.sum_aw.item(i), slots.sum_w.item(i)
     a, c = slots.rec_a.item(i, k), slots.rec_c.item(i, k)
+    slots.suspected[i, k] = True
     detector = next(d for d in range(cfg.n_nodes) if d not in (i, j))
     am = engine.AlertMessage(detector=detector, attacker=j, attacker_reading=45.0)
     engine._deliver_alert(world, i, am, world.round)
-    assert j in world.states[i].blacklist
+    assert j in world.blacklists[i]
+    assert not slots.suspected[i, k]
     assert j not in slot_records(world, i)
     assert not slots.flag[i, k] and slots.blocked[i, k]
     assert slots.sum_aw.item(i) == aw - a * c and slots.sum_w.item(i) == w - c

@@ -30,7 +30,10 @@ from conftest import (RefNode, bfs_clusters, golden_config, run_recorded, slot_r
 
 
 class ReferenceWorld:
-    """What ``run_scenario`` reads of a world, with one RefNode per node."""
+    """What ``run_scenario`` reads of a world, with one RefNode per node.
+
+    Global exclusion is kept as a per-target count of adjacent
+    blacklisters, the oracle of the engine's rule over the blocked cells."""
 
     def __init__(self, cfg, adjacency, ground_truth, source, crashed):
         self.cfg = cfg
@@ -40,6 +43,7 @@ class ReferenceWorld:
         self.source = source
         self.crashed = crashed
         self.states = [RefNode(i) for i in range(cfg.n_nodes)]
+        self.blacklists = [st.blacklist for st in self.states]
         self.round = 0
         self.pending_alerts = []
         self.excluded = set()
@@ -140,9 +144,10 @@ def _deliver(world, receiver, am, rnd):
     st = world.states[receiver]
     if am.attacker in st.blacklist or world.node_is_dead(receiver):
         return False
-    forward = handle_alert(st, am, receiver in world.global_leaders, rnd)
+    forward = handle_alert(st.blacklist, am, receiver in world.global_leaders, rnd)
     if am.attacker not in st.blacklist:
         return False
+    st.suspects.discard(am.attacker)
     world.note_blacklisted(receiver, am.attacker)
     return forward
 
@@ -252,6 +257,10 @@ CASES = {
         consensus_threshold=0.5)), EVENT_ATTACKER_DETECTED),
     "detection-off": (lambda _: _cfg(seed=1, detection=DetectionConfig(
         detection_enabled=False)), EVENT_DM_SENT),
+    # a short radio range leaves 3 nodes isolated: a row of padding cells
+    # only, all blocked, which must not count as excluded
+    "sparse": (lambda _: _cfg(n_nodes=60, n_rounds=30, seed=1, tx_radius_m=25.0),
+               EVENT_NODE_EXCLUDED),
     "trace": (lambda tmp: golden_config(write_golden_trace(tmp / "trace.csv")),
               EVENT_NODE_EXCLUDED),
     # the aggregates overflow to inf, so every message after the first
@@ -269,8 +278,9 @@ CASES = {
 def _engine_nodes(world):
     slots = world.slots
     return [(slot_records(world, i), slots.nbr[i, slots.flag[i]].tolist(),
-             repr(float(slots.sum_aw[i])), repr(float(slots.sum_w[i])), st.suspects)
-            for i, st in enumerate(world.states)]
+             repr(float(slots.sum_aw[i])), repr(float(slots.sum_w[i])),
+             set(slots.nbr[i, slots.suspected[i]].tolist()))
+            for i in range(world.cfg.n_nodes)]
 
 
 def _reference_nodes(world):

@@ -39,9 +39,9 @@ def _field_values(record):
 def test_results_hold_builtin_scalars(case, monkeypatch):
     alerts = []
 
-    def recording(state, am, is_leader, rnd):
+    def recording(blacklist, am, is_leader, rnd):
         alerts.append(am)
-        return handle_alert(state, am, is_leader, rnd)
+        return handle_alert(blacklist, am, is_leader, rnd)
 
     result, _ = run_recorded(CASES[case](), monkeypatch, handle_alert=recording)
     values = [v for event in result.events for v in event]

@@ -1,5 +1,6 @@
 """Synthetic field generation and trace ingestion."""
 
+import codecs
 import tracemalloc
 
 import numpy as np
@@ -201,10 +202,12 @@ def trace_texts(draw):
 
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(text=trace_texts())
-def test_load_trace_matches_the_row_loop(text, tmp_path_factory):
+@given(text=trace_texts(), bom=st.booleans())
+def test_load_trace_matches_the_row_loop(text, bom, tmp_path_factory):
+    """Either path reads a text as the row loop does, after one leading
+    byte-order mark, if any, is dropped."""
     path = tmp_path_factory.mktemp("trace") / "t.csv"
-    path.write_bytes(text.encode("utf-8"))
+    path.write_bytes((codecs.BOM_UTF8 if bom else b"") + text.encode("utf-8"))
     expected = _outcome(lambda: _parse_rows(text))
     assert _outcome(lambda: load_trace(str(path)).values) == expected
     fast = _parse_regular(text.encode("utf-8"))

@@ -58,6 +58,8 @@ CONFIGS = {
     # workload's trace has CRLF ones), with detection on
     "trace-detect-lf": ({"n_nodes": "100", "n_rounds": "30", "attack_type": "sensitive",
                          "noise_sigma": "1.5"}, 2, 1, 1, "lf"),
+    # a short radio range leaves isolated nodes, whose rows are padding only
+    "sparse": ({"n_nodes": "60", "tx_radius_m": "25", "n_rounds": "30"}, 2, 1, 1),
 }
 WORKLOADS = ("sweep-fdi", "noisy-sensitive", "scale-trace")
 BENCHMARK_SEED = 1
