@@ -55,8 +55,7 @@ class GroundTruth:
 def select_attackers(n_nodes: int, attacker_fraction: float, rng: random.Random) -> GroundTruth:
     """Draw round(fraction * n) attackers uniformly without replacement."""
     count = round(attacker_fraction * n_nodes)
-    chosen = frozenset(rng.sample(range(n_nodes), count)) if count else frozenset()
-    return GroundTruth(n_nodes=n_nodes, attackers=chosen)
+    return GroundTruth(n_nodes=n_nodes, attackers=frozenset(rng.sample(range(n_nodes), count)))
 
 
 def churn_is_false_phase(rnd: int, cfg: AttackConfig) -> bool:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import tempfile
 from dataclasses import replace
 from multiprocessing import get_context
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .engine import ConfigError, RunResult, ScenarioConfig, run_scenario
 from .metrics import MetricsReport, aggregate_runs
@@ -130,25 +129,23 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_line(row: Sequence) -> str:
+    """A report line as csv.writer would write it. No field needs quoting:
+    attack types come from a fixed set, and every other field is a number,
+    a boolean or na."""
+    return ",".join(map(_fmt, row)) + "\r\n"
+
+
 class _AtomicCsv:
-    """CSV written to a temp file and renamed into place on commit, so
-    readers never observe a truncated report."""
+    """A CSV report staged in a temp file beside its path and renamed over
+    it on commit, so a reader finds the old report or the new one, whole."""
 
     def __init__(self, path: str, header: Sequence[str]) -> None:
         self.path = path
         directory = os.path.dirname(path) or "."
         fd, self._tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
         self._fh = os.fdopen(fd, "w", newline="", encoding="utf-8")
-        self._writer = csv.writer(self._fh)
-        self._writer.writerow(header)
-
-    def write_row(self, row: Sequence) -> None:
-        self._writer.writerow([_fmt(v) for v in row])
-
-    def write_rows(self, rows: Iterable[Sequence]) -> None:
-        """Rows of ints, strings and floats only: csv writes ints with str
-        and floats with repr, as _fmt would."""
-        self._writer.writerows(rows)
+        self._fh.write(_csv_line(header))
 
     def write_text(self, text: str) -> None:
         """Rows already written out as CSV lines, each ending in \\r\\n."""
@@ -156,6 +153,10 @@ class _AtomicCsv:
 
     def commit(self) -> None:
         self._fh.close()
+        # mkstemp's file is owner-only; give it the mode open(path, "w") would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(self._tmp, 0o666 & ~umask)
         os.replace(self._tmp, self.path)
 
     def discard(self) -> None:
@@ -163,17 +164,6 @@ class _AtomicCsv:
             self._fh.close()
         if os.path.exists(self._tmp):
             os.unlink(self._tmp)
-
-
-def _atomic_csv(path: str, header: Sequence[str], rows) -> None:
-    out = _AtomicCsv(path, header)
-    try:
-        for row in rows:
-            out.write_row(row)
-        out.commit()
-    except BaseException:
-        out.discard()
-        raise
 
 
 def _run_one(args: Tuple[ScenarioConfig, int]) -> RunResult:
@@ -201,29 +191,27 @@ def run_sweep(cfg: ScenarioConfig, runs: int, base_seed: int, out_dir: str,
         raise ConfigError("runs must be >= 1")
     open_files: List[_AtomicCsv] = []
     try:
-        os.makedirs(out_dir, exist_ok=True)
-        raw_dir = os.path.join(out_dir, "raw")
-        os.makedirs(raw_dir, exist_ok=True)
+        os.makedirs(os.path.join(out_dir, "raw"), exist_ok=True)
+        for name, header in (("summary.csv", SUMMARY_COLUMNS),
+                             (os.path.join("raw", "metrics.csv"), RAW_COLUMNS),
+                             ("timeseries.csv", TIMESERIES_COLUMNS),
+                             ("events.csv", EVENTS_COLUMNS)):
+            open_files.append(_AtomicCsv(os.path.join(out_dir, name), header))
+        summary_csv, raw_csv, ts_csv, ev_csv = open_files
 
-        # per-round and per-event rows are streamed out as runs complete;
-        # results arrive in seed order regardless of worker scheduling
-        ts_csv = _AtomicCsv(os.path.join(out_dir, "timeseries.csv"), TIMESERIES_COLUMNS)
-        ev_csv = _AtomicCsv(os.path.join(out_dir, "events.csv"), EVENTS_COLUMNS)
-        open_files += [ts_csv, ev_csv]
-
-        seeds = [base_seed + k for k in range(runs)]
-        work = [(cfg, seed) for seed in seeds]
+        # rows are written out as runs complete; results arrive in seed order
+        # regardless of worker scheduling
+        work = [(cfg, base_seed + k) for k in range(runs)]
         reports: List[MetricsReport] = []
-        raw_rows: List[List] = []
 
         def consume(run_idx: int, result: RunResult) -> None:
             reports.append(result.report)
-            raw_rows.append(_raw_row(run_idx, result))
-            ts_csv.write_rows((run_idx, rnd, total, clean, bl)
-                              for (rnd, total, clean), bl in zip(result.availability,
-                                                                 result.blacklisted_counts))
-            # no field needs quoting: event names are constants, the rest
-            # ints and float reprs, as csv.writer would write them
+            raw_csv.write_text(_csv_line(_raw_row(run_idx, result)))
+            ts_csv.write_text("".join([
+                f"{run_idx},{rnd},{total},{clean},{bl}\r\n"
+                for (rnd, total, clean), bl in zip(result.availability,
+                                                   result.blacklisted_counts)]))
+            # event names are constants, the rest ints and float reprs
             ev_csv.write_text("".join([
                 f"{run_idx},{rnd},{event},{node},{'na' if subject is None else subject},"
                 f"{'na' if value is None else repr(value)}\r\n"
@@ -246,13 +234,13 @@ def run_sweep(cfg: ScenarioConfig, runs: int, base_seed: int, out_dir: str,
         for key in ("precision", "recall", "f1",
                     "clusters_total_mean", "clusters_attacker_free_mean"):
             summary_row.append(stats[key][0])
-
-        _atomic_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS, [summary_row])
-        _atomic_csv(os.path.join(raw_dir, "metrics.csv"), RAW_COLUMNS, raw_rows)
-        ts_csv.commit()
-        ev_csv.commit()
+        summary_csv.write_text(_csv_line(summary_row))
+        for out in open_files:
+            out.commit()
     except BaseException as exc:
-        # no half-written report survives a failed sweep, whatever failed
+        # each report is replaced whole or not at all: a sweep that fails
+        # before the renames changes no report, but a failed rename leaves
+        # the reports renamed before it
         for out in open_files:
             out.discard()
         if isinstance(exc, TraceError):

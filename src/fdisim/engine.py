@@ -231,7 +231,8 @@ class WorldState:
         self.blacklists: List[Dict[int, BlacklistEntry]] = [{} for _ in range(cfg.n_nodes)]
         self.similar = SimilarGraph(self.slots.nbr, self.slots.flag, self.slots.rev)
         self.round = 0
-        self.pending_alerts: List[Tuple[AlertMessage, int]] = []
+        # the alerts this round's leaders forward, flooded to every leader next round
+        self.pending_alerts: List[AlertMessage] = []
         self.excluded: Set[int] = set()
         self.blacklisted_union: Set[int] = set()
         self.global_leaders: Set[int] = set()
@@ -240,14 +241,8 @@ class WorldState:
         self.snapshots: List[ClusterSnapshot] = []
         self.detections: List[DetectionRecord] = []
         self.blacklisted_counts: List[int] = []
-        self._forge_rngs: Dict[int, random.Random] = {}
-
-    def forge_rng(self, node_id: int) -> random.Random:
-        rng = self._forge_rngs.get(node_id)
-        if rng is None:
-            rng = random.Random(f"{self.cfg.seed}/forge/{node_id}")
-            self._forge_rngs[node_id] = rng
-        return rng
+        self.forge_rngs = {i: random.Random(f"{cfg.seed}/forge/{i}")
+                           for i in ground_truth.attackers}
 
     def node_is_dead(self, node_id: int) -> bool:
         return node_id in self.crashed and self.round >= self.cfg.crash_round
@@ -373,7 +368,7 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
         for i in sorted(attackers):
             if live[i]:
                 reading[i] = forge_reading(float(own[i]), float(aggregate[i]), cfg.attack,
-                                           cthresh, world.forge_rng(i))
+                                           cthresh, world.forge_rngs[i])
     world.events.extend(zip(repeat(rnd), repeat(EVENT_DM_SENT), ids, repeat(None),
                             reading[live].tolist()))
     valid = live & np.isfinite(reading) & np.isfinite(aggregate)
@@ -390,8 +385,6 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
     fresh_alerts: List[AlertMessage] = []
     for lo in range(0, n, step):
         hi = min(n, lo + step)
-        if not live[lo:hi].any():
-            continue
         b = _Block()
         b.lo, b.own = lo, own[lo:hi]
         b.nbr = nbr = slots.nbr[lo:hi]
@@ -559,30 +552,21 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
 
     fresh_alerts, unheard = _exchange(world, cfg)
 
-    # phase 3: alert delivery; scheduled floods first, then fresh detections
-    due = [am for am, when in world.pending_alerts if when <= rnd]
-    if due:
-        world.pending_alerts = [(am, when) for am, when in world.pending_alerts if when > rnd]
-        leaders = sorted(world.global_leaders)
-        for am in due:
-            for target in leaders:
-                if _deliver_alert(world, target, am, rnd):
-                    world.pending_alerts.append((am, rnd + 1))
-                    events.append((rnd, EVENT_ALERT_FORWARDED, target, am.attacker,
-                                   am.attacker_reading))
+    # phase 3: alert delivery. Last round's forwards flood every leader, then
+    # each fresh alert reaches its detector (if it leads) and the detector's
+    # cluster leaders; every leader that takes an alert fresh forwards it
+    due = world.pending_alerts
+    leaders = sorted(world.global_leaders)
+    forwards = [(target, am) for am in due for target in leaders
+                if _deliver_alert(world, target, am, rnd)]
     for am in fresh_alerts:
-        # a detector that is itself a leader puts the alert on the overlay
         if am.detector in world.global_leaders:
-            world.pending_alerts.append((am, rnd + 1))
-            events.append((rnd, EVENT_ALERT_FORWARDED, am.detector, am.attacker,
-                           am.attacker_reading))
-        for target in world.similar.leaders_of(am.detector):
-            if target == am.detector:
-                continue
-            if _deliver_alert(world, target, am, rnd):
-                world.pending_alerts.append((am, rnd + 1))
-                events.append((rnd, EVENT_ALERT_FORWARDED, target, am.attacker,
-                               am.attacker_reading))
+            forwards.append((am.detector, am))
+        forwards.extend((target, am) for target in world.similar.leaders_of(am.detector)
+                        if target != am.detector and _deliver_alert(world, target, am, rnd))
+    world.pending_alerts = [am for _, am in forwards]
+    events.extend((rnd, EVENT_ALERT_FORWARDED, target, am.attacker, am.attacker_reading)
+                  for target, am in forwards)
 
     # newly silenced nodes: excluded once every neighbor blacklists them, that
     # is, once every cell holding them is blocked; only a conviction (which
@@ -635,12 +619,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     gt_rng = random.Random(f"{seed}/attackers")
     ground_truth = select_attackers(cfg.n_nodes, cfg.attacker_fraction, gt_rng)
 
-    crashed: Set[int] = set()
-    if cfg.crash_fraction > 0:
-        crash_rng = random.Random(f"{seed}/crash")
-        count = round(cfg.crash_fraction * cfg.n_nodes)
-        if count:
-            crashed = set(crash_rng.sample(range(cfg.n_nodes), count))
+    crash_rng = random.Random(f"{seed}/crash")
+    crashed = set(crash_rng.sample(range(cfg.n_nodes), round(cfg.crash_fraction * cfg.n_nodes)))
 
     world = WorldState(cfg, adjacency, ground_truth, source, crashed)
     # overflowing readings turn sums to inf and nan, silently, as with floats

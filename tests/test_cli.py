@@ -2,6 +2,7 @@
 
 import csv
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -104,6 +105,9 @@ def _read_csv(path):
         return list(csv.reader(fh))
 
 
+REPORTS = ("summary.csv", "raw/metrics.csv", "timeseries.csv", "events.csv")
+
+
 def small_sweep_cfg():
     cfg = ScenarioConfig(n_nodes=20, n_rounds=40, attacker_fraction=0.1, seed=1)
     return cfg
@@ -138,7 +142,7 @@ def test_run_sweep_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_sweep(small_sweep_cfg(), 2, 5, str(out1)) == EXIT_OK
     assert run_sweep(small_sweep_cfg(), 2, 5, str(out2)) == EXIT_OK
-    for name in ("summary.csv", "timeseries.csv", "events.csv"):
+    for name in REPORTS:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -146,7 +150,7 @@ def test_run_sweep_parallel_matches_serial(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run_sweep(small_sweep_cfg(), 3, 5, str(out1), jobs=1) == EXIT_OK
     assert run_sweep(small_sweep_cfg(), 3, 5, str(out2), jobs=2) == EXIT_OK
-    for name in ("summary.csv", "timeseries.csv", "events.csv"):
+    for name in REPORTS:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
@@ -280,6 +284,29 @@ def test_run_sweep_discards_temp_files_when_a_run_raises(tmp_path, monkeypatch):
     assert calls == [1, 2]
     leftovers = [p for d in (out, out / "raw") for p in os.listdir(d)]
     assert leftovers == ["raw"]
+
+
+def test_reports_get_the_mode_of_a_plain_new_file(tmp_path):
+    """Not the owner-only mode of the temp files they are staged in."""
+    old = os.umask(0o022)
+    try:
+        assert run_sweep(small_sweep_cfg(), 1, 1, str(tmp_path / "out")) == EXIT_OK
+    finally:
+        os.umask(old)
+    for name in REPORTS:
+        assert stat.S_IMODE(os.stat(tmp_path / "out" / name).st_mode) == 0o644, name
+
+
+def test_a_failed_rename_is_an_io_error_and_leaves_no_temp_file(tmp_path, capsys):
+    """A directory in a report's place fails its rename. Each report is
+    replaced whole; the ones renamed before the failure stay."""
+    out = tmp_path / "out"
+    (out / "timeseries.csv").mkdir(parents=True)
+    assert run_sweep(small_sweep_cfg(), 1, 1, str(out)) == EXIT_IO
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert not [p for d in (out, out / "raw") for p in os.listdir(d) if p.startswith(".tmp-")]
+    assert (out / "timeseries.csv").is_dir()
+    assert not (out / "events.csv").exists()
 
 
 def test_main_runs_when_region_spreads_overflow(tmp_path):

@@ -275,6 +275,21 @@ def test_adjacency_matches_pairwise_loop(block_cells, monkeypatch):
         assert compute_adjacency(positions, 30.0) == _pairwise_adjacency(positions, 30.0)
 
 
+def test_one_row_blocks_with_dead_rows_match_the_default_blocks(monkeypatch):
+    """Half the nodes dead from round 0: with one receiver row per phase-2
+    block, many blocks hold no live receiver and must leave their rows as
+    they found them."""
+    cfg = ScenarioConfig(n_nodes=60, n_rounds=30, seed=2, crash_fraction=0.5, crash_round=0)
+    wide = run_scenario(copy.deepcopy(cfg))
+    monkeypatch.setattr(engine, "_ADJACENCY_BLOCK_CELLS", 1)
+    narrow = run_scenario(cfg)
+    assert narrow.events == wide.events
+    assert narrow.snapshots == wide.snapshots
+    assert narrow.detections == wide.detections
+    assert narrow.node_blacklists == wide.node_blacklists
+    assert narrow.confusion == wide.confusion
+
+
 def test_conviction_by_sole_remaining_suspecter_completes():
     """Seed 4208, round 1: 44 of attacker 39's 45 suspecters clear it and
     node 98, last in id order, convicts it with nobody else suspecting."""

@@ -60,6 +60,10 @@ CONFIGS = {
                          "noise_sigma": "1.5"}, 2, 1, 1, "lf"),
     # a short radio range leaves isolated nodes, whose rows are padding only
     "sparse": ({"n_nodes": "60", "tx_radius_m": "25", "n_rounds": "30"}, 2, 1, 1),
+    # half the nodes dead from round 0: alerts flood an overlay of many dead
+    # leaders, and whole phase-2 blocks have no live receiver
+    "crash-half": ({"n_nodes": "60", "n_rounds": "30", "crash_fraction": "0.5",
+                    "crash_round": "0"}, 2, 1, 1),
 }
 WORKLOADS = ("sweep-fdi", "noisy-sensitive", "scale-trace")
 BENCHMARK_SEED = 1
