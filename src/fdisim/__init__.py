@@ -12,6 +12,6 @@ from .engine import (ConfigError, RunResult, ScenarioConfig, compute_adjacency, 
                      run_scenario)
 from .metrics import (ConfusionCounts, MetricsReport, aggregate_runs, cluster_availability,
                       compute_confusion)
-from .sensing import FieldConfig, TraceError, TraceTable, load_trace, synth_reading
+from .sensing import FieldConfig, TraceError, TraceTable, load_trace
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ class AttackConfig:
     sensitive_margin: float = 15.0
 
     def validate(self) -> None:
-        require_finite(self, "fdi_offset_min", "fdi_offset_max", "sensitive_margin")
+        require_finite(self)
         if self.attack_type not in ATTACK_TYPES:
             raise ValueError(f"attack_type must be one of {ATTACK_TYPES}")
         if not 0 < self.fdi_offset_min <= self.fdi_offset_max:

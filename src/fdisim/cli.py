@@ -6,12 +6,14 @@ import argparse
 import os
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from multiprocessing import get_context
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hints
 
+from .attacks import ATTACK_TYPES
 from .engine import ConfigError, RunResult, ScenarioConfig, run_scenario
-from .metrics import MetricsReport, aggregate_runs
+from .metrics import ConfusionCounts, MetricsReport, aggregate_runs
 from .sensing import TraceError
 
 EXIT_OK = 0
@@ -28,11 +30,11 @@ SUMMARY_COLUMNS = [
 TIMESERIES_COLUMNS = ["run", "round", "clusters_total", "clusters_attacker_free",
                       "blacklisted_count"]
 EVENTS_COLUMNS = ["run", "round", "event", "node", "subject", "value"]
-RAW_COLUMNS = [
-    "run", "seed", "tp", "tn", "fp", "fn", "attackers_inserted", "total_interactions",
-    "fn_count_paper", "detection_rate", "accuracy", "accuracy_x100", "fpr", "fnr",
-    "precision", "recall", "f1", "clusters_total_mean", "clusters_attacker_free_mean",
-]
+_COUNT_FIELDS = [f.name for f in fields(ConfusionCounts)]
+_METRIC_FIELDS = [f.name for f in fields(MetricsReport)]
+RAW_COLUMNS = ["run", "seed", *_COUNT_FIELDS, *_METRIC_FIELDS]
+_counts_of = attrgetter(*_COUNT_FIELDS)
+_metrics_of = attrgetter(*_METRIC_FIELDS)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -44,48 +46,34 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-# config key -> (target section, attribute, parser); sections are the nested
-# config dataclasses, "" is the scenario itself
-_CONFIG_KEYS: Dict[str, Tuple[str, str, Callable]] = {
-    "n_nodes": ("", "n_nodes", int),
-    "area_width_m": ("", "area_width_m", float),
-    "area_height_m": ("", "area_height_m", float),
-    "tx_radius_m": ("", "tx_radius_m", float),
-    "n_rounds": ("", "n_rounds", int),
-    "attacker_fraction": ("", "attacker_fraction", float),
-    "seed": ("", "seed", int),
-    "crash_fraction": ("", "crash_fraction", float),
-    "crash_round": ("", "crash_round", int),
-    "trace_path": ("", "trace_path", str),
-    "cthresh": ("cluster", "cthresh", float),
-    "neighbor_ttl_rounds": ("cluster", "neighbor_ttl_rounds", int),
-    "consensus_threshold": ("detection", "consensus_threshold", float),
-    "consensus_region_cap": ("detection", "region_cap", int),
-    "detection_enabled": ("detection", "detection_enabled", _parse_bool),
-    "attack_type": ("attack", "attack_type", str),
-    "fdi_offset_min": ("attack", "fdi_offset_min", float),
-    "fdi_offset_max": ("attack", "fdi_offset_max", float),
-    "churn_honest_rounds": ("attack", "churn_honest_rounds", int),
-    "churn_false_rounds": ("attack", "churn_false_rounds", int),
-    "sensitive_margin": ("attack", "sensitive_margin", float),
-    "base_value": ("sensing", "base_value", float),
-    "drift_per_round": ("sensing", "drift_per_round", float),
-    "spatial_gradient": ("sensing", "spatial_gradient", float),
-    "noise_sigma": ("sensing", "noise_sigma", float),
-}
+_PARSERS = {int: int, float: float, str: str, Optional[str]: str, bool: _parse_bool}
+
+
+def _config_keys(cls, section: str = "") -> Dict[str, Tuple[str, Callable]]:
+    """Config key -> (section, parser): a key is a field of ScenarioConfig or
+    of one of its dataclass-typed sections, "" being the scenario itself."""
+    keys: Dict[str, Tuple[str, Callable]] = {}
+    for name, hint in get_type_hints(cls).items():
+        if is_dataclass(hint):
+            keys.update(_config_keys(hint, name))
+        else:
+            keys[name] = (section, _PARSERS[hint])
+    return keys
+
+
+_CONFIG_KEYS = _config_keys(ScenarioConfig)
 
 
 def _apply_key(cfg: ScenarioConfig, key: str, raw: str, where: str) -> None:
     spec = _CONFIG_KEYS.get(key)
     if spec is None:
         raise ConfigError(f"unknown config key '{key}' {where}")
-    section, attr, parser = spec
+    section, parser = spec
     try:
         value = parser(raw)
     except ValueError:
         raise ConfigError(f"bad value for '{key}' {where}: {raw!r}") from None
-    target = cfg if section == "" else getattr(cfg, section)
-    setattr(target, attr, value)
+    setattr(getattr(cfg, section) if section else cfg, key, value)
 
 
 def parse_config(path: Optional[str], overrides: Optional[Dict[str, str]] = None,
@@ -172,12 +160,7 @@ def _run_one(args: Tuple[ScenarioConfig, int]) -> RunResult:
 
 
 def _raw_row(run_idx: int, result: RunResult) -> List:
-    c = result.confusion
-    rp = result.report
-    return [run_idx, result.seed, c.tp, c.tn, c.fp, c.fn, c.attackers_inserted,
-            c.total_interactions, rp.fn_count_paper, rp.detection_rate, rp.accuracy,
-            rp.accuracy_x100, rp.fpr, rp.fnr, rp.precision, rp.recall, rp.f1,
-            rp.clusters_total_mean, rp.clusters_attacker_free_mean]
+    return [run_idx, result.seed, *_counts_of(result.confusion), *_metrics_of(result.report)]
 
 
 def run_sweep(cfg: ScenarioConfig, runs: int, base_seed: int, out_dir: str,
@@ -259,17 +242,20 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Round-based IIoT sensor-cluster simulator with consensus "
                     "filtering of false-data injectors.")
     parser.add_argument("--config", metavar="PATH", help="flat key = value scenario file")
-    parser.add_argument("--nodes", type=int, metavar="N", help="number of nodes")
+    # a flag whose dest is a config key overrides that key
+    parser.add_argument("--nodes", dest="n_nodes", type=int, metavar="N",
+                        help="number of nodes")
     parser.add_argument("--attackers-pct", type=float, metavar="P",
                         help="attacker share in percent, e.g. 10")
-    parser.add_argument("--attack", choices=("fdi", "churn", "sensitive"),
+    parser.add_argument("--attack", dest="attack_type", choices=ATTACK_TYPES,
                         help="attacker behavior model")
     parser.add_argument("--runs", type=int, default=1, metavar="K",
                         help="number of seeded runs (default 1)")
     parser.add_argument("--seed", type=int, metavar="S", help="base seed")
     parser.add_argument("--no-detection", action="store_true",
                         help="disable the fault-management layer (baseline mode)")
-    parser.add_argument("--trace", metavar="PATH", help="reading trace CSV")
+    parser.add_argument("--trace", dest="trace_path", metavar="PATH",
+                        help="reading trace CSV")
     parser.add_argument("--out", default="out", metavar="DIR", help="output directory")
     parser.add_argument("--jobs", type=int, default=1, metavar="J",
                         help="parallel worker processes")
@@ -278,19 +264,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_arg_parser().parse_args(argv)
-    overrides: Dict[str, str] = {}
-    if args.nodes is not None:
-        overrides["n_nodes"] = str(args.nodes)
+    overrides = {key: str(value) for key, value in vars(args).items()
+                 if key in _CONFIG_KEYS and value is not None}
     if args.attackers_pct is not None:
         overrides["attacker_fraction"] = str(args.attackers_pct / 100.0)
-    if args.attack is not None:
-        overrides["attack_type"] = args.attack
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
     if args.no_detection:
         overrides["detection_enabled"] = "false"
-    if args.trace is not None:
-        overrides["trace_path"] = args.trace
 
     try:
         cfg = parse_config(args.config, overrides)

@@ -18,7 +18,7 @@ class ClusterConfig:
     neighbor_ttl_rounds: int = 3  # evict records not refreshed within this many rounds
 
     def validate(self) -> None:
-        require_finite(self, "cthresh")
+        require_finite(self)
         if not self.cthresh > 0:
             raise ValueError("cthresh must be > 0")
         if self.neighbor_ttl_rounds < 1:

@@ -16,14 +16,14 @@ from .domain import AlertMessage, require_finite, validate_alert_message
 class DetectionConfig:
     consensus_threshold: float = 5.0  # verdict boundary: combined SD equal to it is honest
     detection_enabled: bool = True
-    region_cap: int = 5  # max similar neighbors sampled into a consensus region
+    consensus_region_cap: int = 5  # max similar neighbors sampled into a consensus region
 
     def validate(self) -> None:
-        require_finite(self, "consensus_threshold")
+        require_finite(self)
         if not self.consensus_threshold > 0:
             raise ValueError("consensus_threshold must be > 0")
-        if self.region_cap < 1:
-            raise ValueError("region_cap must be >= 1")
+        if self.consensus_region_cap < 1:
+            raise ValueError("consensus_region_cap must be >= 1")
 
 
 # verdict codes of consensus_verdicts

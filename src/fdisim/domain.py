@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from numbers import Integral
 
@@ -13,12 +13,13 @@ def is_finite_reading(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def require_finite(owner, *names: str) -> None:
-    """Raise ValueError naming the first listed attribute of ``owner`` that
-    is NaN or infinite."""
-    for name in names:
-        if not math.isfinite(getattr(owner, name)):
-            raise ValueError(f"{name} must be finite")
+def require_finite(owner) -> None:
+    """Raise ValueError naming the first field of the dataclass ``owner``
+    that holds a NaN or infinite float."""
+    for f in fields(owner):
+        value = getattr(owner, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ class ScenarioConfig:
         if self.crash_round < 0:
             raise ConfigError("crash_round must be >= 0")
         try:
-            require_finite(self, "area_width_m", "area_height_m", "tx_radius_m")
+            require_finite(self)
             self.cluster.validate()
             self.detection.validate()
             self.attack.validate()
@@ -437,23 +437,24 @@ def _judge(b: _Block, old_x: np.ndarray, cand: np.ndarray, dcfg: DetectionConfig
     judge it at its slot.
 
     The consensus region of suspected slot k is the receiver's own reading,
-    then the first ``region_cap`` slots eligible at k, in slot order: at or
-    below k, similar after this round's message and read from ``b.rec_x``;
-    above k, similar last round and read from ``old_x`` (the records as the
-    round found them); in both cases not suspected. A blacklisted slot
-    holds no similar flag. The regions are gathered through per-row counts
-    of the eligible slots and their readings by rank.
+    then the first ``consensus_region_cap`` slots eligible at k, in slot
+    order: at or below k, similar after this round's message and read from
+    ``b.rec_x``; above k, similar last round and read from ``old_x`` (the
+    records as the round found them); in both cases not suspected. A
+    blacklisted slot holds no similar flag. The regions are gathered through
+    per-row counts of the eligible slots and their readings by rank.
 
     Every suspected slot of the block is judged at once, as if its row's
     earlier suspects all stayed suspected. Only two verdicts break that: a
-    similar sender cleared with fewer than ``region_cap`` eligible slots
-    before it enters later regions, and a similar sender convicted leaves
-    the sums, so the rest of its row is solved again (``_solve_rest``) and
-    its verdict turned False. A row keeps its verdicts up to its first such
-    one, which is applied, and its suspects past it are judged again.
+    similar sender cleared with fewer than ``consensus_region_cap`` eligible
+    slots before it enters later regions, and a similar sender convicted
+    leaves the sums, so the rest of its row is solved again
+    (``_solve_rest``) and its verdict turned False. A row keeps its verdicts
+    up to its first such one, which is applied, and its suspects past it are
+    judged again.
     """
     rows_n, width = cand.shape
-    cap = dcfg.region_cap
+    cap = dcfg.consensus_region_cap
     gather = np.arange(min(cap, width))
     verdict = np.zeros(cand.shape, dtype=np.int8)
     base = np.zeros(cand.shape)

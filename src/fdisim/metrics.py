@@ -15,7 +15,8 @@ from .clustering import ClusterSnapshot
 @dataclass
 class ConfusionCounts:
     """Per-run node-level outcome counts. A node counts as detected once, at
-    its first blacklisting anywhere in the network."""
+    its first blacklisting anywhere in the network. The fields, in order,
+    are the count columns of the raw report."""
 
     tp: int  # attackers blacklisted
     tn: int  # honest nodes never blacklisted
@@ -92,8 +93,10 @@ def fn_count_paper(c: ConfusionCounts) -> int:
 @dataclass
 class MetricsReport:
     """Per-run metric values; None marks a metric whose denominator was
-    empty (reported as not-applicable downstream)."""
+    empty (reported as not-applicable downstream). The fields, in order,
+    are the metric columns of the raw report."""
 
+    fn_count_paper: int
     detection_rate: Optional[float]
     accuracy: Optional[float]
     accuracy_x100: Optional[float]
@@ -104,7 +107,6 @@ class MetricsReport:
     f1: Optional[float]
     clusters_total_mean: float
     clusters_attacker_free_mean: float
-    fn_count_paper: int
 
 
 def cluster_availability(snapshots: Sequence[ClusterSnapshot], ground_truth: GroundTruth,
@@ -128,6 +130,7 @@ def build_report(c: ConfusionCounts, availability: Sequence[Tuple[int, int, int]
     precision, recall, f1 = precision_recall_f1(c)
     n_rounds = len(availability)
     return MetricsReport(
+        fn_count_paper=fn_count_paper(c),
         detection_rate=detection_rate(c),
         accuracy=acc,
         accuracy_x100=None if acc is None else acc * 100.0,
@@ -138,7 +141,6 @@ def build_report(c: ConfusionCounts, availability: Sequence[Tuple[int, int, int]
         f1=f1,
         clusters_total_mean=sum(r[1] for r in availability) / n_rounds,
         clusters_attacker_free_mean=sum(r[2] for r in availability) / n_rounds,
-        fn_count_paper=fn_count_paper(c),
     )
 
 

@@ -35,17 +35,9 @@ class FieldConfig:
     noise_sigma: float = 0.3
 
     def validate(self) -> None:
-        require_finite(self, "base_value", "drift_per_round", "spatial_gradient", "noise_sigma")
+        require_finite(self)
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
-
-
-def synth_reading(position: Sequence[float], rnd: int, cfg: FieldConfig,
-                  noise: float = 0.0) -> float:
-    """Field value at a position and round: base plus linear drift, a linear
-    spatial gradient and the supplied noise sample."""
-    x, y = position[0], position[1]
-    return cfg.base_value + cfg.drift_per_round * rnd + cfg.spatial_gradient * (x + y) + noise
 
 
 class TraceTable:

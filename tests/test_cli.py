@@ -2,7 +2,9 @@
 
 import csv
 import os
+import re
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,10 +63,15 @@ def test_parse_bad_value_names_key_and_line(tmp_path):
         parse_config(str(path))
 
 
-def test_parse_out_of_range_value_names_key(tmp_path):
+@pytest.mark.parametrize("line, message", [
+    pytest.param("attacker_fraction = 1.5", "attacker_fraction", id="attacker_fraction"),
+    pytest.param("consensus_region_cap = 0", "consensus_region_cap must be >= 1",
+                 id="consensus_region_cap"),
+])
+def test_parse_out_of_range_value_names_key(line, message, tmp_path):
     path = tmp_path / "s.cfg"
-    path.write_text("attacker_fraction = 1.5\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="attacker_fraction"):
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=message):
         parse_config(str(path))
 
 
@@ -131,6 +138,10 @@ def test_run_sweep_outputs(tmp_path):
     events = _read_csv(out / "events.csv")
     assert events[0] == ["run", "round", "event", "node", "subject", "value"]
     raw = _read_csv(out / "raw" / "metrics.csv")
+    assert raw[0] == ["run", "seed", "tp", "tn", "fp", "fn", "attackers_inserted",
+                      "total_interactions", "fn_count_paper", "detection_rate", "accuracy",
+                      "accuracy_x100", "fpr", "fnr", "precision", "recall", "f1",
+                      "clusters_total_mean", "clusters_attacker_free_mean"]
     assert len(raw) == 3
     assert raw[1][0] == "0" and raw[1][1] == "10"   # run index, seed
     assert raw[2][1] == "11"
@@ -252,7 +263,16 @@ def test_grid_recipe_covers_scenario_matrix(tmp_path):
                    "n15_a10_fdi_det", "n15_a20_fdi_det"}
 
 
-FLOAT_KEYS = sorted(k for k, (_, _, parser) in _CONFIG_KEYS.items() if parser is float)
+def test_readme_config_table_documents_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config file", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    # a cell may document several keys, e.g. `area_width_m`, `area_height_m`
+    documented = {key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])}
+    assert documented == set(_CONFIG_KEYS)
+
+
+FLOAT_KEYS = sorted(k for k, (_, parser) in _CONFIG_KEYS.items() if parser is float)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

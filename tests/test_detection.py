@@ -153,7 +153,7 @@ def test_process_suspect_add_then_detect():
     assert outcome is SuspectOutcome.ADDED and am is None
     assert st.suspects == {9}
 
-    region = build_consensus_region(st, 16.0, _similar(st), dcfg.region_cap)
+    region = build_consensus_region(st, 16.0, _similar(st), dcfg.consensus_region_cap)
     outcome, am, res = process_suspect(st, 9, 45.0, False, region, dcfg, 2)
     assert outcome is SuspectOutcome.DETECTED
     assert am == AlertMessage(detector=0, attacker=9, attacker_reading=45.0)
@@ -166,7 +166,7 @@ def test_process_suspect_cleared_when_back_in_consensus():
     dcfg = DetectionConfig(consensus_threshold=5.0)
     st = _node_with_similar(0, 16.0, [14.0, 15.0, 17.0, 18.0])
     st.suspects.add(9)
-    region = build_consensus_region(st, 16.0, _similar(st), dcfg.region_cap)
+    region = build_consensus_region(st, 16.0, _similar(st), dcfg.consensus_region_cap)
     outcome, am, res = process_suspect(st, 9, 22.0, False, region, dcfg, 1)
     assert outcome is SuspectOutcome.CLEARED
     assert 9 not in st.suspects and 9 not in st.blacklist
@@ -176,7 +176,7 @@ def test_process_suspect_pending_on_invalid_region():
     dcfg = DetectionConfig(consensus_threshold=5.0)
     st = _node_with_similar(0, 16.0, [])  # no similar neighbors at all
     st.suspects.add(9)
-    region = build_consensus_region(st, 16.0, _similar(st), dcfg.region_cap)
+    region = build_consensus_region(st, 16.0, _similar(st), dcfg.consensus_region_cap)
     outcome, am, res = process_suspect(st, 9, 45.0, False, region, dcfg, 1)
     assert outcome is SuspectOutcome.PENDING
     assert 9 in st.suspects and 9 not in st.blacklist
@@ -247,7 +247,7 @@ def _check_kernel(regions, threshold):
         assert _same(spread[r], math.nan if want_combined is None else want_combined)
 
 
-CAP = DetectionConfig().region_cap
+CAP = DetectionConfig().consensus_region_cap
 reading = hst.one_of(hst.floats(min_value=-1e3, max_value=1e3), hst.floats(),
                      hst.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e155, -1e155]))
 

@@ -465,7 +465,7 @@ def test_a_clear_past_the_region_cap_takes_one_pass(cap, passes, tmp_path, monke
     back = [45.0 if node == 5 else v for node, v in enumerate(base)]
     cfg = golden_config(_write_trace(tmp_path / "trace.csv", [base, base, off, back]))
     cfg.n_rounds = 4
-    cfg.detection.region_cap = cap
+    cfg.detection.consensus_region_cap = cap
     rounds, calls = [], []
     run_round, kernel = engine.run_round, engine.consensus_verdicts
 

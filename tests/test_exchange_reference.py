@@ -122,7 +122,7 @@ def reference_exchange(world, cfg):
                 continue
             # looked up in the engine's namespace, where a test may wrap them
             similar = [(s, st.table.reading(s)) for s in sorted(st.table.similar)]
-            region = (engine.build_consensus_region(st, own, similar, dcfg.region_cap)
+            region = (engine.build_consensus_region(st, own, similar, dcfg.consensus_region_cap)
                       if j in st.suspects else None)
             outcome, am, res = engine.process_suspect(
                 st, j, dm.individual_reading, verdict, region, dcfg, rnd)
@@ -235,16 +235,16 @@ CASES = {
                                       detection=DetectionConfig(consensus_threshold=1.0)),
                        EVENT_SUSPECT_CLEARED),
     # the smallest and a wide consensus region: a clear changes later
-    # regions only within the first region_cap eligible slots
+    # regions only within the first consensus_region_cap eligible slots
     "region-cap-1": (lambda _: _cfg(seed=1, attack=AttackConfig(attack_type="sensitive"),
                                     sensing=FieldConfig(noise_sigma=1.5),
                                     detection=DetectionConfig(consensus_threshold=1.0,
-                                                              region_cap=1)),
+                                                              consensus_region_cap=1)),
                      EVENT_SUSPECT_CLEARED),
     "wide-region": (lambda _: _cfg(seed=1, attack=AttackConfig(attack_type="sensitive"),
                                    sensing=FieldConfig(noise_sigma=1.5),
                                    detection=DetectionConfig(consensus_threshold=1.0,
-                                                             region_cap=12)),
+                                                             consensus_region_cap=12)),
                     EVENT_SUSPECT_CLEARED),
     "crash": (lambda _: _cfg(seed=1, crash_fraction=0.2, crash_round=10),
               EVENT_ATTACKER_DETECTED),

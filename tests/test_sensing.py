@@ -9,28 +9,28 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fdisim.sensing import (FieldConfig, SynthField, TraceError, _parse_regular, _parse_rows,
-                            load_trace, synth_reading)
+                            load_trace)
 
 
 def test_synth_degenerate_field():
     cfg = FieldConfig(base_value=16.0, drift_per_round=0.0, spatial_gradient=0.0,
                       noise_sigma=0.0)
-    assert synth_reading((0, 0), 0, cfg) == 16.0
-    assert synth_reading((123, 77), 500, cfg) == 16.0
+    values = SynthField(cfg, [(0, 0), (123, 77)], 501, seed=1).values
+    assert values[0, 0] == 16.0
+    assert values[500, 1] == 16.0
 
 
 def test_synth_linear_drift():
     cfg = FieldConfig(base_value=16.0, drift_per_round=0.01, spatial_gradient=0.0,
                       noise_sigma=0.0)
-    assert abs(synth_reading((0, 0), 100, cfg) - 17.0) < 1e-12
+    assert abs(SynthField(cfg, [(0, 0)], 101, seed=1).values[100, 0] - 17.0) < 1e-12
 
 
 def test_synth_gradient_term_analytic():
     # with zero noise, two positions differ by exactly the gradient term
     cfg = FieldConfig(base_value=10.0, drift_per_round=0.0, spatial_gradient=0.05,
                       noise_sigma=0.0)
-    a = synth_reading((0.0, 0.0), 3, cfg)
-    b = synth_reading((10.0, 20.0), 3, cfg)
+    a, b = SynthField(cfg, [(0.0, 0.0), (10.0, 20.0)], 4, seed=1).values[3]
     assert abs((b - a) - 0.05 * 30.0) < 1e-12
 
 
@@ -145,9 +145,10 @@ def test_synth_field_matches_formula_bit_for_bit():
                       noise_sigma=0.0)
     positions = [(0.0, 0.0), (12.5, 199.9), (133.3, 71.7), (0.1, 0.2)]
     field = SynthField(cfg, positions, 50, seed=3)
-    for node, pos in enumerate(positions):
+    for node, (x, y) in enumerate(positions):
         for rnd in range(50):
-            assert field.reading(node, rnd) == synth_reading(pos, rnd, cfg)
+            formula = cfg.base_value + cfg.drift_per_round * rnd + cfg.spatial_gradient * (x + y)
+            assert field.reading(node, rnd) == formula
 
 
 # --- the numpy parser path against the row loop --------------------------

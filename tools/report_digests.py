@@ -64,6 +64,17 @@ CONFIGS = {
     # leaders, and whole phase-2 blocks have no live receiver
     "crash-half": ({"n_nodes": "60", "n_rounds": "30", "crash_fraction": "0.5",
                     "crash_round": "0"}, 2, 1, 1),
+    # every key but trace_path set away from its default, so each key's
+    # parser and target field are compared
+    "all-keys": ({"n_nodes": "50", "n_rounds": "40", "area_width_m": "150",
+                  "area_height_m": "120", "tx_radius_m": "80", "attacker_fraction": "0.2",
+                  "seed": "3", "crash_fraction": "0.1", "crash_round": "25",
+                  "cthresh": "2.5", "neighbor_ttl_rounds": "2", "consensus_threshold": "4.5",
+                  "consensus_region_cap": "3", "detection_enabled": "on",
+                  "attack_type": "churn", "churn_honest_rounds": "3", "churn_false_rounds": "4",
+                  "fdi_offset_min": "5", "fdi_offset_max": "25", "sensitive_margin": "10",
+                  "base_value": "20", "drift_per_round": "0.01", "spatial_gradient": "0.002",
+                  "noise_sigma": "0.5"}, 2, 3, 1),
 }
 WORKLOADS = ("sweep-fdi", "noisy-sensitive", "scale-trace")
 BENCHMARK_SEED = 1
