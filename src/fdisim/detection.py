@@ -4,7 +4,6 @@ collaborative filter, suspect bookkeeping, alerts and the blacklist."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -26,8 +25,8 @@ class DetectionConfig:
             raise ValueError("consensus_region_cap must be >= 1")
 
 
-# verdict codes of consensus_verdicts
-PENDING, CLEARED, DETECTED = 0, 1, 2
+# verdict codes of consensus_verdicts, and of a sender newly suspected
+PENDING, CLEARED, DETECTED, ADDED = 0, 1, 2, 3
 
 
 def _spread(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -85,11 +84,9 @@ def region_sd(values: Sequence[float]) -> float:
 @dataclass
 class ConsensusRegion:
     """The detector's own latest reading plus its sampled similar neighbors'
-    latest readings; the material the two-step filter works on. ``ids`` are
-    the neighbors whose readings follow the detector's own."""
+    latest readings; the material the two-step filter works on."""
 
     values: List[float]
-    ids: Tuple[int, ...] = ()
 
     @property
     def sd(self) -> float:
@@ -97,17 +94,11 @@ class ConsensusRegion:
         return region_sd(self.values)
 
 
-class ClassifyOutcome(Enum):
-    HONEST = "honest"
-    ATTACKER = "attacker"
-    REGION_INVALID = "region-invalid"
-
-
 @dataclass
 class ClassifyResult:
-    outcome: ClassifyOutcome
+    verdict: int  # PENDING, CLEARED or DETECTED
     region_sd: float
-    combined_sd: Optional[float]  # None when the region itself was rejected
+    combined_sd: Optional[float]  # None when the verdict is PENDING
 
 
 def classify_suspect(region: ConsensusRegion, suspect_reading: float,
@@ -118,15 +109,14 @@ def classify_suspect(region: ConsensusRegion, suspect_reading: float,
     consensus threshold, and it must contain at least one neighbor reading
     besides the detector's own (a consensus of one is no consensus). Step 2
     re-evaluates the spread with the suspect's reading included; exceeding
-    the threshold convicts, equality acquits.
+    the threshold convicts (DETECTED), equality acquits (CLEARED). A region
+    that fails step 1 leaves the verdict PENDING, with no combined spread.
     """
     verdict, base, combined = consensus_verdicts(
         np.array([region.values], dtype=float), np.array([len(region.values)]),
         np.array([suspect_reading], dtype=float), cfg.consensus_threshold)
-    if verdict[0] == PENDING:
-        return ClassifyResult(ClassifyOutcome.REGION_INVALID, base.item(), None)
-    outcome = ClassifyOutcome.ATTACKER if verdict[0] == DETECTED else ClassifyOutcome.HONEST
-    return ClassifyResult(outcome, base.item(), combined.item())
+    code = int(verdict[0])
+    return ClassifyResult(code, base.item(), None if code == PENDING else combined.item())
 
 
 @dataclass(slots=True)
@@ -136,43 +126,35 @@ class BlacklistEntry:
     reading: float
 
 
-class SuspectOutcome(Enum):
-    ADDED = "added"
-    CLEARED = "cleared"
-    DETECTED = "detected"
-    PENDING = "pending"
-
-
 def process_suspect(state, sender: int, reading: float, similar_verdict: bool,
                     region: Optional[ConsensusRegion], cfg: DetectionConfig, rnd: int,
-                    ) -> Tuple[SuspectOutcome, Optional[AlertMessage], Optional[ClassifyResult]]:
-    """Advance one suspect state machine step for a received reading.
+                    ) -> Tuple[int, Optional[AlertMessage], Optional[ClassifyResult]]:
+    """Advance one suspect state machine step for a received reading;
+    returns ``(code, alert, result)``.
 
     Called only for a sender that is suspected or whose message failed the
     similarity test (``similar_verdict`` False). A sender already under
     suspicion is put through the consensus filter with its newest reading
-    against ``region``, the detector's current consensus region: conviction
-    moves it to the blacklist and emits an alert (the caller forgets its
-    neighbor record), acquittal clears it, an
-    invalid region leaves it pending. Any other sender is dissimilar and is
-    added to the suspect list. ``region`` is read only for a sender already
-    suspected and may be None otherwise. ``state.suspects`` is a set of ids.
+    against ``region``, the detector's current consensus region, and the
+    code is the filter's verdict: DETECTED moves it to the blacklist and
+    emits an alert (the caller forgets its neighbor record), CLEARED drops
+    it from the suspects, PENDING leaves it suspected. Any other sender is
+    dissimilar and is added to the suspect list (ADDED, with no alert and
+    no result). ``region`` is read only for a sender already suspected and
+    may be None otherwise. ``state.suspects`` is a set of ids.
     """
     suspects: Set[int] = state.suspects
-    if sender in suspects:
-        result = classify_suspect(region, reading, cfg)
-        if result.outcome is ClassifyOutcome.ATTACKER:
-            suspects.discard(sender)
-            state.blacklist[sender] = BlacklistEntry(rnd, state.node_id, reading)
-            return (SuspectOutcome.DETECTED,
-                    AlertMessage(detector=state.node_id, attacker=sender, attacker_reading=reading),
-                    result)
-        if result.outcome is ClassifyOutcome.HONEST:
-            suspects.discard(sender)
-            return SuspectOutcome.CLEARED, None, result
-        return SuspectOutcome.PENDING, None, result
-    suspects.add(sender)
-    return SuspectOutcome.ADDED, None, None
+    if sender not in suspects:
+        suspects.add(sender)
+        return ADDED, None, None
+    result = classify_suspect(region, reading, cfg)
+    alert = None
+    if result.verdict == DETECTED:
+        state.blacklist[sender] = BlacklistEntry(rnd, state.node_id, reading)
+        alert = AlertMessage(detector=state.node_id, attacker=sender, attacker_reading=reading)
+    if result.verdict != PENDING:
+        suspects.discard(sender)
+    return result.verdict, alert, result
 
 
 def handle_alert(blacklist: Dict[int, BlacklistEntry], am: AlertMessage, is_leader: bool,
@@ -199,14 +181,12 @@ def build_consensus_region(state, own_reading: float, similar: Iterable[Tuple[in
     as (id, reading) pairs in ascending id order, skipping anything
     currently suspected or blacklisted."""
     values = [own_reading]
-    ids: List[int] = []
     suspects = state.suspects
     blacklist = state.blacklist
     for nid, reading in similar:
-        if len(ids) >= cap:
+        if len(values) > cap:
             break
         if nid in suspects or nid in blacklist:
             continue
         values.append(reading)
-        ids.append(nid)
-    return ConsensusRegion(values, tuple(ids))
+    return ConsensusRegion(values)

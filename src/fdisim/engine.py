@@ -23,7 +23,7 @@ from .attacks import AttackConfig, GroundTruth, attack_is_active, forge_reading,
 # wraps them in this namespace by name
 from .clustering import (ClusterConfig, ClusterSnapshot, SimilarGraph, build_data_message,
                          extract_clusters, handle_data_message, prune_ids)
-from .detection import (CLEARED, DETECTED, BlacklistEntry, DetectionConfig,
+from .detection import (ADDED, CLEARED, DETECTED, BlacklistEntry, DetectionConfig,
                         build_consensus_region, consensus_verdicts, handle_alert,
                         process_suspect)
 from .domain import AlertMessage, require_finite, transition_label, validate_data_message
@@ -43,9 +43,9 @@ EVENT_NODE_EXCLUDED = "node_excluded"
 _ADJACENCY_BLOCK_CELLS = 1 << 14
 # last-seen round of a slot that holds no record
 NO_RECORD = -1
-# what a phase-2 slot logs beside consensus_verdicts' codes (PENDING logs nothing)
-_ADDED, _DISCARDED = 3, 4
-# the event a phase-2 slot logs, by its code
+# what a phase-2 slot logs beside detection's codes (PENDING logs nothing)
+_DISCARDED = 4
+# the event a phase-2 slot logs, indexed by detection's codes and _DISCARDED
 _EVENT_NAMES = (None, EVENT_SUSPECT_CLEARED, EVENT_ATTACKER_DETECTED, EVENT_SUSPECT_ADDED,
                 EVENT_DM_DISCARDED)
 
@@ -412,11 +412,11 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
                                            cthresh)
             event[cand] = verdict[cand]
             b.seen[event == DETECTED] = NO_RECORD
-        event[walk & ~b.suspected & ~b.verdict] = _ADDED
+        event[walk & ~b.suspected & ~b.verdict] = ADDED
         cells = np.flatnonzero(event)
         if cells.size:
             _apply_outcomes(world, b, cells, event, base, spread, fresh_alerts)
-            slots.suspected[lo:hi] |= event == _ADDED
+            slots.suspected[lo:hi] |= event == ADDED
             slots.suspected[lo:hi] &= event != CLEARED
         # the receivers keep the state their passes end with
         flag = np.where(part, b.verdict, prev)

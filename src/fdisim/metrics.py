@@ -45,38 +45,32 @@ def compute_confusion(ground_truth: GroundTruth, blacklisted: Set[int],
                            total_interactions=total_interactions)
 
 
+def _ratio(num: int, den: int) -> Optional[float]:
+    """num / den, or None when the denominator is 0."""
+    return num / den if den else None
+
+
 def detection_rate(c: ConfusionCounts) -> Optional[float]:
     """Fraction of inserted attackers detected at least once; None when no
     attackers were inserted."""
-    if c.attackers_inserted == 0:
-        return None
-    return c.tp / c.attackers_inserted
+    return _ratio(c.tp, c.attackers_inserted)
 
 
 def accuracy(c: ConfusionCounts) -> Optional[float]:
-    total = c.tp + c.tn + c.fp + c.fn
-    if total == 0:
-        return None
-    return (c.tp + c.tn) / total
+    return _ratio(c.tp + c.tn, c.tp + c.tn + c.fp + c.fn)
 
 
 def fpr(c: ConfusionCounts) -> Optional[float]:
-    denom = c.fp + c.tn
-    if denom == 0:
-        return None
-    return c.fp / denom
+    return _ratio(c.fp, c.fp + c.tn)
 
 
 def fnr(c: ConfusionCounts) -> Optional[float]:
-    denom = c.fn + c.tp
-    if denom == 0:
-        return None
-    return c.fn / denom
+    return _ratio(c.fn, c.fn + c.tp)
 
 
 def precision_recall_f1(c: ConfusionCounts) -> Tuple[Optional[float], Optional[float], Optional[float]]:
-    precision = c.tp / (c.tp + c.fp) if (c.tp + c.fp) > 0 else None
-    recall = c.tp / (c.tp + c.fn) if (c.tp + c.fn) > 0 else None
+    precision = _ratio(c.tp, c.tp + c.fp)
+    recall = _ratio(c.tp, c.tp + c.fn)
     if precision is None or recall is None:
         return precision, recall, None
     if precision == 0.0 and recall == 0.0:

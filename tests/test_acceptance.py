@@ -14,8 +14,8 @@ import pytest
 
 from fdisim.attacks import AttackConfig, churn_is_false_phase
 from fdisim.clustering import NeighborRecord
-from fdisim.detection import (ClassifyOutcome, ConsensusRegion, DetectionConfig,
-                              classify_suspect, region_sd)
+from fdisim.detection import (DETECTED, ConsensusRegion, DetectionConfig, classify_suspect,
+                              region_sd)
 from fdisim.domain import NodeLabel, transition_label
 from fdisim.engine import (EVENT_ATTACKER_DETECTED, EVENT_DM_SENT, EVENT_NODE_EXCLUDED,
                            EVENT_SUSPECT_ADDED, ScenarioConfig, run_scenario)
@@ -215,8 +215,8 @@ def test_criterion_6_property_suites():
             near = classify_suspect(region, mean + sign * d1, cfg)
             far = classify_suspect(region, mean + sign * d2, cfg)
             assert far.combined_sd >= near.combined_sd - 1e-12
-            if near.outcome is ClassifyOutcome.ATTACKER:
-                assert far.outcome is ClassifyOutcome.ATTACKER
+            if near.verdict == DETECTED:
+                assert far.verdict == DETECTED
 
     def aggregate_bounds():
         rng = random.Random(64)

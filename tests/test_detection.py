@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hst
 
-from fdisim.detection import (CLEARED, DETECTED, PENDING, BlacklistEntry, ClassifyOutcome,
+from fdisim.detection import (ADDED, CLEARED, DETECTED, PENDING, BlacklistEntry,
                               ConsensusRegion, DetectionConfig, build_consensus_region,
                               classify_suspect, consensus_verdicts, handle_alert,
-                              process_suspect, region_sd, SuspectOutcome)
+                              process_suspect, region_sd)
 from fdisim.clustering import ClusterConfig, handle_data_message
 from fdisim.domain import AlertMessage, DataMessage
 
@@ -67,7 +67,7 @@ def test_combined_variance_closed_form():
 def test_classify_fig_values():
     cfg = DetectionConfig(consensus_threshold=5.0)
     res = classify_suspect(ConsensusRegion(list(FIG_REGION)), 45.0, cfg)
-    assert res.outcome is ClassifyOutcome.ATTACKER
+    assert res.verdict == DETECTED
     assert abs(res.region_sd - math.sqrt(2)) < 1e-6
     assert abs(res.combined_sd - 10.884494578170465) < 1e-6
 
@@ -76,21 +76,21 @@ def test_classify_mean_is_honest():
     cfg = DetectionConfig(consensus_threshold=5.0)
     mean = sum(FIG_REGION) / len(FIG_REGION)
     res = classify_suspect(ConsensusRegion(list(FIG_REGION)), mean, cfg)
-    assert res.outcome is ClassifyOutcome.HONEST
+    assert res.verdict == CLEARED
     assert res.combined_sd <= res.region_sd + 1e-12
 
 
 def test_classify_moderate_reading_honest():
     cfg = DetectionConfig(consensus_threshold=5.0)
     res = classify_suspect(ConsensusRegion(list(FIG_REGION)), 22.0, cfg)
-    assert res.outcome is ClassifyOutcome.HONEST
+    assert res.verdict == CLEARED
     assert abs(res.combined_sd - math.sqrt(40 / 6)) < 1e-9
 
 
 def test_classify_region_invalid_when_spread_too_wide():
     cfg = DetectionConfig(consensus_threshold=5.0)
     res = classify_suspect(ConsensusRegion([0.0, 30.0, 60.0]), 45.0, cfg)
-    assert res.outcome is ClassifyOutcome.REGION_INVALID
+    assert res.verdict == PENDING
     assert res.combined_sd is None
 
 
@@ -98,7 +98,7 @@ def test_classify_region_invalid_without_neighbor_data():
     # a consensus of one is no consensus
     cfg = DetectionConfig(consensus_threshold=5.0)
     res = classify_suspect(ConsensusRegion([45.0]), 14.0, cfg)
-    assert res.outcome is ClassifyOutcome.REGION_INVALID
+    assert res.verdict == PENDING
 
 
 def test_classify_boundary_equality_is_honest():
@@ -108,7 +108,7 @@ def test_classify_boundary_equality_is_honest():
     cfg = DetectionConfig(consensus_threshold=boundary)
     res = classify_suspect(ConsensusRegion([0.0, 0.0]), s, cfg)
     assert res.combined_sd == boundary
-    assert res.outcome is ClassifyOutcome.HONEST
+    assert res.verdict == CLEARED
 
 
 def test_classify_monotone_in_distance_from_mean():
@@ -128,8 +128,8 @@ def test_classify_monotone_in_distance_from_mean():
         near = classify_suspect(region, mean + sign * d1, cfg)
         far = classify_suspect(region, mean + sign * d2, cfg)
         assert far.combined_sd >= near.combined_sd - 1e-12
-        if near.outcome is ClassifyOutcome.ATTACKER:
-            assert far.outcome is ClassifyOutcome.ATTACKER
+        if near.verdict == DETECTED:
+            assert far.verdict == DETECTED
 
 
 def _node_with_similar(node_id, own, neighbor_readings, rnd=0):
@@ -149,13 +149,13 @@ def test_process_suspect_add_then_detect():
     dcfg = DetectionConfig(consensus_threshold=5.0)
     st = _node_with_similar(0, 16.0, [14.0, 15.0, 17.0, 18.0])
 
-    outcome, am, res = process_suspect(st, 9, 45.0, False, None, dcfg, 1)
-    assert outcome is SuspectOutcome.ADDED and am is None
+    code, am, res = process_suspect(st, 9, 45.0, False, None, dcfg, 1)
+    assert code == ADDED and am is None and res is None
     assert st.suspects == {9}
 
     region = build_consensus_region(st, 16.0, _similar(st), dcfg.consensus_region_cap)
-    outcome, am, res = process_suspect(st, 9, 45.0, False, region, dcfg, 2)
-    assert outcome is SuspectOutcome.DETECTED
+    code, am, res = process_suspect(st, 9, 45.0, False, region, dcfg, 2)
+    assert code == DETECTED
     assert am == AlertMessage(detector=0, attacker=9, attacker_reading=45.0)
     assert 9 in st.blacklist and 9 not in st.suspects
     assert st.blacklist[9] == BlacklistEntry(detected_round=2, detector=0, reading=45.0)
@@ -167,8 +167,8 @@ def test_process_suspect_cleared_when_back_in_consensus():
     st = _node_with_similar(0, 16.0, [14.0, 15.0, 17.0, 18.0])
     st.suspects.add(9)
     region = build_consensus_region(st, 16.0, _similar(st), dcfg.consensus_region_cap)
-    outcome, am, res = process_suspect(st, 9, 22.0, False, region, dcfg, 1)
-    assert outcome is SuspectOutcome.CLEARED
+    code, am, res = process_suspect(st, 9, 22.0, False, region, dcfg, 1)
+    assert code == CLEARED
     assert 9 not in st.suspects and 9 not in st.blacklist
 
 
@@ -177,8 +177,8 @@ def test_process_suspect_pending_on_invalid_region():
     st = _node_with_similar(0, 16.0, [])  # no similar neighbors at all
     st.suspects.add(9)
     region = build_consensus_region(st, 16.0, _similar(st), dcfg.consensus_region_cap)
-    outcome, am, res = process_suspect(st, 9, 45.0, False, region, dcfg, 1)
-    assert outcome is SuspectOutcome.PENDING
+    code, am, res = process_suspect(st, 9, 45.0, False, region, dcfg, 1)
+    assert code == PENDING
     assert 9 in st.suspects and 9 not in st.blacklist
 
 
@@ -189,7 +189,6 @@ def test_build_consensus_region_caps_and_skips():
     region = build_consensus_region(st, 16.0, _similar(st), cap=3)
     # own reading plus the three lowest-id eligible similar neighbors
     assert region.values == [16.0, 15.5, 16.5, 17.0]
-    assert region.ids == (102, 103, 104)
     assert region.sd == region_sd(region.values)
 
 
@@ -295,5 +294,5 @@ def test_overflowing_spread_leaves_the_suspect_pending():
     assert region_sd([1e155, -1e155]) == math.inf
     res = classify_suspect(ConsensusRegion([1e155, -1e155]), 0.0,
                            DetectionConfig(consensus_threshold=1e155))
-    assert res.outcome is ClassifyOutcome.REGION_INVALID
+    assert res.verdict == PENDING
     assert res.region_sd == math.inf

@@ -132,6 +132,20 @@ def test_attackers_all_blacklisted_and_labelled():
     assert union == set(result.ground_truth.attackers)
 
 
+def test_steep_field_convicts_honest_nodes_without_attackers():
+    """Pins a known gap: at spatial_gradient 0.08 a detector's region is
+    tight while an honest neighbor near the edge of radio range reads about
+    10 apart, so the combined spread passes the consensus threshold and
+    that neighbor is convicted with no attacker in the network. A fix to
+    the filter has to change these counts on purpose."""
+    result = run_scenario(ScenarioConfig(n_nodes=40, n_rounds=40, seed=1,
+                                         attacker_fraction=0.0,
+                                         sensing=FieldConfig(spatial_gradient=0.08)))
+    assert result.ground_truth.attackers_inserted == 0
+    assert result.confusion.tp == 0
+    assert result.confusion.fp == 8
+
+
 def test_blacklist_monotone_over_run():
     result = run_scenario(small_cfg(attacker_fraction=0.2, n_rounds=60))
     counts = result.blacklisted_counts

@@ -14,11 +14,13 @@ import sys
 from typing import List, Optional
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as hst
 
 import fdisim.engine as engine
-from fdisim.attacks import AttackConfig, attack_is_active, forge_reading
-from fdisim.clustering import build_data_message, handle_data_message, prune_ids
-from fdisim.detection import DetectionConfig, SuspectOutcome, handle_alert, process_suspect
+from fdisim.attacks import ATTACK_TYPES, AttackConfig, attack_is_active, forge_reading
+from fdisim.clustering import ClusterConfig, build_data_message, handle_data_message, prune_ids
+from fdisim.detection import (ADDED, CLEARED, DETECTED, DetectionConfig, handle_alert,
+                              process_suspect)
 from fdisim.domain import AlertMessage, DataMessage, validate_data_message
 from fdisim.engine import (EVENT_ALERT_FORWARDED, EVENT_ATTACKER_DETECTED, EVENT_DM_DISCARDED,
                            EVENT_DM_SENT, EVENT_NODE_EXCLUDED, EVENT_SUSPECT_ADDED,
@@ -74,6 +76,11 @@ class ReferenceWorld:
         self.states[observer].table.remove(target)
 
 
+# the event a process_suspect code logs; a PENDING suspect logs nothing
+_SUSPECT_EVENTS = {ADDED: EVENT_SUSPECT_ADDED, CLEARED: EVENT_SUSPECT_CLEARED,
+                   DETECTED: EVENT_ATTACKER_DETECTED}
+
+
 def reference_exchange(world, cfg):
     """Phases 1 and 2: returns the fresh alerts and the unheard senders."""
     rnd = world.round
@@ -124,15 +131,12 @@ def reference_exchange(world, cfg):
             similar = [(s, st.table.reading(s)) for s in sorted(st.table.similar)]
             region = (engine.build_consensus_region(st, own, similar, dcfg.consensus_region_cap)
                       if j in st.suspects else None)
-            outcome, am, res = engine.process_suspect(
+            code, am, res = engine.process_suspect(
                 st, j, dm.individual_reading, verdict, region, dcfg, rnd)
             reading = dm.individual_reading
-            if outcome is SuspectOutcome.ADDED:
-                events.append((rnd, EVENT_SUSPECT_ADDED, i, j, reading))
-            elif outcome is SuspectOutcome.CLEARED:
-                events.append((rnd, EVENT_SUSPECT_CLEARED, i, j, reading))
-            elif outcome is SuspectOutcome.DETECTED:
-                events.append((rnd, EVENT_ATTACKER_DETECTED, i, j, reading))
+            if code in _SUSPECT_EVENTS:
+                events.append((rnd, _SUSPECT_EVENTS[code], i, j, reading))
+            if code == DETECTED:
                 world.note_blacklisted(i, j)
                 world.detections.append(DetectionRecord(
                     rnd, i, j, reading, res.region_sd, res.combined_sd))
@@ -267,6 +271,11 @@ CASES = {
     # round is discarded
     "overflow-discard": (lambda _: ScenarioConfig(n_nodes=30, n_rounds=6, sensing=FieldConfig(
         base_value=1e308, spatial_gradient=0.0)), EVENT_DM_DISCARDED),
+    # a steep field and no attacker: honest nodes near the edge of radio
+    # range are convicted (a known gap of the protocol)
+    "gradient-cliff": (lambda _: _cfg(seed=1, attacker_fraction=0.0,
+                                      sensing=FieldConfig(spatial_gradient=0.08)),
+                       EVENT_ATTACKER_DETECTED),
     # 400 nodes at default density: the rows span several phase-2 blocks
     "multi-block": (lambda _: ScenarioConfig(
         n_nodes=400, area_width_m=400.0, area_height_m=400.0, n_rounds=8, seed=5,
@@ -289,6 +298,15 @@ def _reference_nodes(world):
              repr(st.table._sum_w), st.suspects) for st in world.states]
 
 
+def _assert_same_run(flat, flat_world, ref, ref_world):
+    assert flat.events == ref.events
+    assert flat.snapshots == ref.snapshots
+    assert flat.detections == ref.detections
+    assert flat.node_blacklists == ref.node_blacklists
+    assert flat.confusion.total_interactions == ref.confusion.total_interactions
+    assert _engine_nodes(flat_world) == _reference_nodes(ref_world)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_flattened_round_matches_reference(case, tmp_path, monkeypatch):
     make_cfg, must_see = CASES[case]
@@ -297,12 +315,50 @@ def test_flattened_round_matches_reference(case, tmp_path, monkeypatch):
     assert must_see in {e[1] for e in ref.events}
     if case == "multi-block":
         assert flat_world.slots.nbr.size > 2 * engine._ADJACENCY_BLOCK_CELLS
-    assert flat.events == ref.events
-    assert flat.snapshots == ref.snapshots
-    assert flat.detections == ref.detections
-    assert flat.node_blacklists == ref.node_blacklists
-    assert flat.confusion.total_interactions == ref.confusion.total_interactions
-    assert _engine_nodes(flat_world) == _reference_nodes(ref_world)
+    _assert_same_run(flat, flat_world, ref, ref_world)
+
+
+def _floats(lo, hi):
+    return hst.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@hst.composite
+def scenario_configs(draw):
+    """Whole configs with every key but trace_path drawn: small worlds from
+    sparse to fully connected, every attack, crashes and detection off."""
+    fdi_min = draw(_floats(0.5, 10.0))
+    return ScenarioConfig(
+        n_nodes=draw(hst.integers(2, 45)), n_rounds=draw(hst.integers(1, 25)),
+        area_width_m=draw(_floats(20.0, 200.0)), area_height_m=draw(_floats(20.0, 200.0)),
+        tx_radius_m=draw(_floats(10.0, 150.0)), attacker_fraction=draw(_floats(0.0, 0.5)),
+        seed=draw(hst.integers(0, 10 ** 6)), crash_fraction=draw(_floats(0.0, 0.5)),
+        crash_round=draw(hst.integers(0, 25)),
+        cluster=ClusterConfig(cthresh=draw(_floats(0.5, 6.0)),
+                              neighbor_ttl_rounds=draw(hst.integers(1, 4))),
+        detection=DetectionConfig(consensus_threshold=draw(_floats(0.5, 8.0)),
+                                  detection_enabled=draw(hst.booleans()),
+                                  consensus_region_cap=draw(hst.integers(1, 8))),
+        attack=AttackConfig(attack_type=draw(hst.sampled_from(ATTACK_TYPES)),
+                            fdi_offset_min=fdi_min,
+                            fdi_offset_max=fdi_min + draw(_floats(0.0, 30.0)),
+                            churn_honest_rounds=draw(hst.integers(1, 6)),
+                            churn_false_rounds=draw(hst.integers(1, 6)),
+                            sensitive_margin=draw(_floats(1.0, 20.0))),
+        sensing=FieldConfig(base_value=draw(_floats(-50.0, 50.0)),
+                            drift_per_round=draw(_floats(-0.1, 0.1)),
+                            spatial_gradient=draw(_floats(0.0, 0.1)),
+                            noise_sigma=draw(_floats(0.0, 2.0))))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=scenario_configs())
+def test_drawn_configs_match_reference(cfg):
+    """The engine and the reference round give the same run, float for
+    float, on every drawn config."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        flat, flat_world = run_recorded(cfg, monkeypatch)
+        ref, ref_world = run_reference(cfg, monkeypatch)
+    _assert_same_run(flat, flat_world, ref, ref_world)
 
 
 @pytest.mark.parametrize("case", ["churn", "crash", "fdi", "mixed-verdicts", "multi-block",

@@ -64,6 +64,10 @@ CONFIGS = {
     # leaders, and whole phase-2 blocks have no live receiver
     "crash-half": ({"n_nodes": "60", "n_rounds": "30", "crash_fraction": "0.5",
                     "crash_round": "0"}, 2, 1, 1),
+    # a steep field with no attacker: several clusters a round, and honest
+    # nodes convicted
+    "gradient-cliff": ({"n_nodes": "100", "n_rounds": "100", "attacker_fraction": "0",
+                        "spatial_gradient": "0.08"}, 2, 1, 1),
     # every key but trace_path set away from its default, so each key's
     # parser and target field are compared
     "all-keys": ({"n_nodes": "50", "n_rounds": "40", "area_width_m": "150",
