@@ -4,7 +4,7 @@ surveillance and consensus-based exclusion of false-data injectors."""
 from .attacks import AttackConfig, GroundTruth, churn_is_false_phase, forge_reading
 from .clustering import (ClusterConfig, ClusterSnapshot, NeighborRecord, NeighborTable,
                          SimilarGraph, extract_clusters, is_similar)
-from .detection import ConsensusRegion, DetectionConfig, classify_suspect, region_sd
+from .detection import DetectionConfig
 from .domain import (AlertMessage, DataMessage, NodeLabel, validate_alert_message,
                      validate_data_message)
 from .engine import (ConfigError, RunResult, ScenarioConfig, compute_adjacency, place_nodes,

@@ -44,13 +44,6 @@ class GroundTruth:
     n_nodes: int
     attackers: FrozenSet[int]
 
-    @property
-    def attackers_inserted(self) -> int:
-        return len(self.attackers)
-
-    def is_attacker(self, node_id: int) -> bool:
-        return node_id in self.attackers
-
 
 def select_attackers(n_nodes: int, attacker_fraction: float, rng: random.Random) -> GroundTruth:
     """Draw round(fraction * n) attackers uniformly without replacement."""

@@ -4,7 +4,7 @@ collaborative filter, suspect bookkeeping, alerts and the blacklist."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -73,52 +73,6 @@ def consensus_verdicts(values: np.ndarray, sizes: np.ndarray, readings: np.ndarr
     return verdict, base, spread
 
 
-def region_sd(values: Sequence[float]) -> float:
-    """Population standard deviation (divide by N) of a consensus region."""
-    n = len(values)
-    if n == 0:
-        raise ValueError("empty consensus region")
-    return _spread(np.array([values], dtype=float), np.array([n])).item()
-
-
-@dataclass
-class ConsensusRegion:
-    """The detector's own latest reading plus its sampled similar neighbors'
-    latest readings; the material the two-step filter works on."""
-
-    values: List[float]
-
-    @property
-    def sd(self) -> float:
-        """The region's own spread."""
-        return region_sd(self.values)
-
-
-@dataclass
-class ClassifyResult:
-    verdict: int  # PENDING, CLEARED or DETECTED
-    region_sd: float
-    combined_sd: Optional[float]  # None when the verdict is PENDING
-
-
-def classify_suspect(region: ConsensusRegion, suspect_reading: float,
-                     cfg: DetectionConfig) -> ClassifyResult:
-    """Two-step collaborative filter.
-
-    Step 1 validates the region itself: its own spread must sit within the
-    consensus threshold, and it must contain at least one neighbor reading
-    besides the detector's own (a consensus of one is no consensus). Step 2
-    re-evaluates the spread with the suspect's reading included; exceeding
-    the threshold convicts (DETECTED), equality acquits (CLEARED). A region
-    that fails step 1 leaves the verdict PENDING, with no combined spread.
-    """
-    verdict, base, combined = consensus_verdicts(
-        np.array([region.values], dtype=float), np.array([len(region.values)]),
-        np.array([suspect_reading], dtype=float), cfg.consensus_threshold)
-    code = int(verdict[0])
-    return ClassifyResult(code, base.item(), None if code == PENDING else combined.item())
-
-
 @dataclass(slots=True)
 class BlacklistEntry:
     detected_round: int
@@ -126,35 +80,39 @@ class BlacklistEntry:
     reading: float
 
 
-def process_suspect(state, sender: int, reading: float, similar_verdict: bool,
-                    region: Optional[ConsensusRegion], cfg: DetectionConfig, rnd: int,
-                    ) -> Tuple[int, Optional[AlertMessage], Optional[ClassifyResult]]:
+def process_suspect(state, sender: int, reading: float, region: Optional[List[float]],
+                    cfg: DetectionConfig, rnd: int,
+                    ) -> Tuple[int, Optional[AlertMessage], Optional[float], Optional[float]]:
     """Advance one suspect state machine step for a received reading;
-    returns ``(code, alert, result)``.
+    returns ``(code, alert, region_sd, combined_sd)``.
 
     Called only for a sender that is suspected or whose message failed the
-    similarity test (``similar_verdict`` False). A sender already under
-    suspicion is put through the consensus filter with its newest reading
-    against ``region``, the detector's current consensus region, and the
-    code is the filter's verdict: DETECTED moves it to the blacklist and
-    emits an alert (the caller forgets its neighbor record), CLEARED drops
-    it from the suspects, PENDING leaves it suspected. Any other sender is
-    dissimilar and is added to the suspect list (ADDED, with no alert and
-    no result). ``region`` is read only for a sender already suspected and
-    may be None otherwise. ``state.suspects`` is a set of ids.
+    similarity test. A sender already under suspicion is put through
+    ``consensus_verdicts`` with its newest reading against ``region``, the
+    readings of the detector's current consensus region, and the code and
+    spreads are the kernel's (the combined spread nan when PENDING):
+    DETECTED moves it to the blacklist and emits an alert (the caller
+    forgets its neighbor record), CLEARED drops it from the suspects,
+    PENDING leaves it suspected. Any other sender is dissimilar and is added
+    to the suspect list (ADDED, with no alert and None spreads). ``region``
+    is read only for a sender already suspected and may be None otherwise.
+    ``state.suspects`` is a set of ids.
     """
     suspects: Set[int] = state.suspects
     if sender not in suspects:
         suspects.add(sender)
-        return ADDED, None, None
-    result = classify_suspect(region, reading, cfg)
+        return ADDED, None, None, None
+    verdict, base, combined = consensus_verdicts(
+        np.array([region], dtype=float), np.array([len(region)]),
+        np.array([reading], dtype=float), cfg.consensus_threshold)
+    code = int(verdict[0])
     alert = None
-    if result.verdict == DETECTED:
+    if code == DETECTED:
         state.blacklist[sender] = BlacklistEntry(rnd, state.node_id, reading)
         alert = AlertMessage(detector=state.node_id, attacker=sender, attacker_reading=reading)
-    if result.verdict != PENDING:
+    if code != PENDING:
         suspects.discard(sender)
-    return result.verdict, alert, result
+    return code, alert, base.item(), combined.item()
 
 
 def handle_alert(blacklist: Dict[int, BlacklistEntry], am: AlertMessage, is_leader: bool,
@@ -175,11 +133,11 @@ def handle_alert(blacklist: Dict[int, BlacklistEntry], am: AlertMessage, is_lead
 
 
 def build_consensus_region(state, own_reading: float, similar: Iterable[Tuple[int, float]],
-                           cap: int) -> ConsensusRegion:
-    """Assemble the detector's region: its own reading plus the latest
-    individual readings of up to ``cap`` of its ``similar`` neighbors, given
-    as (id, reading) pairs in ascending id order, skipping anything
-    currently suspected or blacklisted."""
+                           cap: int) -> List[float]:
+    """The readings of the detector's consensus region: its own reading plus
+    the latest individual readings of up to ``cap`` of its ``similar``
+    neighbors, given as (id, reading) pairs in ascending id order, skipping
+    anything currently suspected or blacklisted."""
     values = [own_reading]
     suspects = state.suspects
     blacklist = state.blacklist
@@ -189,4 +147,4 @@ def build_consensus_region(state, own_reading: float, similar: Iterable[Tuple[in
         if nid in suspects or nid in blacklist:
             continue
         values.append(reading)
-    return ConsensusRegion(values)
+    return values

@@ -344,13 +344,13 @@ class _Block:
                  "suspected", "verdict", "cum_aw", "cum_w", "rec_x", "seen")
 
 
-def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage], List[int]]:
+def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage], bool]:
     """Phases 1 and 2 of a round: every live node broadcasts once, then every
     live receiver takes in its neighbors' messages in slot order.
 
-    Returns the alerts raised by this round's convictions and the ids of the
-    nodes whose message no receiver took in: those that sent nothing and
-    those whose message was discarded.
+    Returns the alerts raised by this round's convictions and whether any
+    node's message went untaken by every receiver: a node that sent nothing
+    or whose message was discarded.
     """
     rnd = world.round
     n = cfg.n_nodes
@@ -427,7 +427,7 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
         slots.seen[lo:hi] = b.seen
         np.copyto(slots.sum_aw[lo:hi], b.cum_aw[:, -1], where=live[lo:hi])
         np.copyto(slots.sum_w[lo:hi], b.cum_w[:, -1], where=live[lo:hi])
-    return fresh_alerts, np.flatnonzero(~valid).tolist()
+    return fresh_alerts, not valid.all()
 
 
 def _judge(b: _Block, old_x: np.ndarray, cand: np.ndarray, dcfg: DetectionConfig,
@@ -454,8 +454,9 @@ def _judge(b: _Block, old_x: np.ndarray, cand: np.ndarray, dcfg: DetectionConfig
     judged again.
     """
     rows_n, width = cand.shape
-    cap = dcfg.consensus_region_cap
-    gather = np.arange(min(cap, width))
+    # exact: a region never holds more than its row's width
+    cap = min(dcfg.consensus_region_cap, width)
+    gather = np.arange(cap)
     verdict = np.zeros(cand.shape, dtype=np.int8)
     base = np.zeros(cand.shape)
     spread = np.zeros(cand.shape)
@@ -472,8 +473,8 @@ def _judge(b: _Block, old_x: np.ndarray, cand: np.ndarray, dcfg: DetectionConfig
         flag = np.where(b.part, b.verdict, b.prev)
         new_ok = flag & (~b.suspected | cleared)
         new_cnt = np.cumsum(new_ok, axis=1)
-        new_ranked = np.zeros((rows_n, gather.size))
-        r, k = np.nonzero(new_ok & (new_cnt <= gather.size))
+        new_ranked = np.zeros((rows_n, cap))
+        r, k = np.nonzero(new_ok & (new_cnt <= cap))
         new_ranked[r, new_cnt[r, k] - 1] = b.rec_x[r, k]
         rows, cols = np.nonzero(todo)
         before = new_cnt[rows, cols]
@@ -481,7 +482,7 @@ def _judge(b: _Block, old_x: np.ndarray, cand: np.ndarray, dcfg: DetectionConfig
         skip = old_cnt[rows, cols]
         n_old = np.minimum(cap - n_new, old_cnt[rows, -1] - skip)
         at_old = np.clip(skip[:, None] + gather - n_new[:, None], 0, width - 1)
-        values = np.empty((rows.size, gather.size + 1))
+        values = np.empty((rows.size, cap + 1))
         values[:, 0] = b.own[rows]
         values[:, 1:] = np.where(gather < n_new[:, None], new_ranked[rows],
                                  np.where(gather < (n_new + n_old)[:, None],
@@ -551,7 +552,7 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
     events = world.events
     slots = world.slots
 
-    fresh_alerts, unheard = _exchange(world, cfg)
+    fresh_alerts, any_unheard = _exchange(world, cfg)
 
     # phase 3: alert delivery. Last round's forwards flood every leader, then
     # each fresh alert reaches its detector (if it leads) and the detector's
@@ -581,7 +582,7 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
 
     # phase 4: TTL maintenance; only unheard senders can have gone stale, and
     # a live receiver drops its stale records in slot order
-    if unheard:
+    if any_unheard:
         stale = slots.seen < rnd - cfg.cluster.neighbor_ttl_rounds
         stale &= world.live_mask()[:, None]
         slots.forget(*np.nonzero(stale))

@@ -1,8 +1,8 @@
 """Shared fixtures: the hand-built six-node corrupted-reading world, a
 node and a neighbor table built from records, a run that keeps its world
 state and the records read out of that world, the traversal oracle of
-cluster extraction over ``{node: similar set}`` mappings and the scalar
-oracle of the consensus filter."""
+cluster extraction over ``{node: similar set}`` mappings, the scalar
+oracle of the consensus filter and a padded batch through its kernel."""
 
 from __future__ import annotations
 
@@ -10,11 +10,12 @@ import csv
 import math
 from typing import Mapping, Set
 
+import numpy as np
 import pytest
 
 import fdisim.engine as engine
 from fdisim.clustering import ClusterSnapshot, NeighborRecord, NeighborTable, SimilarGraph
-from fdisim.detection import CLEARED, DETECTED, PENDING
+from fdisim.detection import CLEARED, DETECTED, PENDING, consensus_verdicts
 from fdisim.engine import NeighborSlots, ScenarioConfig
 
 # node 2 broadcasts a wildly off reading every round; the others span 14..18
@@ -178,3 +179,19 @@ def scalar_verdict(values, reading, threshold):
         return PENDING, base, None
     combined = scalar_region_sd(list(values) + [reading])
     return (DETECTED if combined > threshold else CLEARED), base, combined
+
+
+def consensus_batch(regions, threshold):
+    """``consensus_verdicts`` over (region readings, suspect reading) pairs
+    as one batch, each region padded with -0.0 to the widest."""
+    width = max(len(values) for values, _ in regions)
+    values = np.full((len(regions), width), -0.0)
+    for r, (region, _) in enumerate(regions):
+        values[r, :len(region)] = region
+    return consensus_verdicts(values, np.array([len(v) for v, _ in regions]),
+                              np.array([x for _, x in regions], dtype=float), threshold)
+
+
+def region_spreads(regions):
+    """The kernel's spread of each list of readings, in one batch."""
+    return consensus_batch([(values, 0.0) for values in regions], 1.0)[1]

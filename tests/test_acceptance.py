@@ -14,15 +14,15 @@ import pytest
 
 from fdisim.attacks import AttackConfig, churn_is_false_phase
 from fdisim.clustering import NeighborRecord
-from fdisim.detection import (DETECTED, ConsensusRegion, DetectionConfig, classify_suspect,
-                              region_sd)
+from fdisim.detection import DETECTED
 from fdisim.domain import NodeLabel, transition_label
 from fdisim.engine import (EVENT_ATTACKER_DETECTED, EVENT_DM_SENT, EVENT_NODE_EXCLUDED,
                            EVENT_SUSPECT_ADDED, ScenarioConfig, run_scenario)
 from fdisim.metrics import ConfusionCounts, detection_rate, fnr, precision_recall_f1
 from fdisim.cli import run_sweep
 
-from conftest import GOLDEN_BAD_NODE, GOLDEN_DETECTOR, similar_table
+from conftest import (GOLDEN_BAD_NODE, GOLDEN_DETECTOR, consensus_batch, region_spreads,
+                      similar_table)
 
 SWEEP_RUNS = 35
 JOBS = max(1, os.cpu_count() or 1)
@@ -174,49 +174,57 @@ def test_criterion_6_property_suites():
 
     def sd_identities():
         rng = random.Random(61)
+        cases = []
         for _ in range(1000):
             values = [rng.uniform(-50, 50) for _ in range(rng.randint(1, 12))]
-            sd = region_sd(values)
+            cases.append((values, rng.uniform(-100, 100), rng.uniform(-4, 4)))
+        sds = region_spreads([region for values, shift, k in cases
+                              for region in (values, [values[0]] * len(values),
+                                             [v + shift for v in values],
+                                             [v * k for v in values])])
+        for (values, shift, k), (sd, constant, shifted, scaled) in zip(cases,
+                                                                      sds.reshape(-1, 4)):
             assert sd >= 0.0
-            constant = region_sd([values[0]] * len(values))
             assert constant <= 1e-9 * max(1.0, abs(values[0]))
             if sd == 0.0:
                 assert len(set(values)) == 1
-            shift = rng.uniform(-100, 100)
-            assert abs(region_sd([v + shift for v in values]) - sd) <= 1e-9 * max(1.0, sd)
-            k = rng.uniform(-4, 4)
-            assert abs(region_sd([v * k for v in values]) - abs(k) * sd) \
-                <= 1e-9 * max(1.0, abs(k) * sd)
+            assert abs(shifted - sd) <= 1e-9 * max(1.0, sd)
+            assert abs(scaled - abs(k) * sd) <= 1e-9 * max(1.0, abs(k) * sd)
 
     def combined_variance():
         rng = random.Random(62)
+        cases = []
         for _ in range(1000):
             n = rng.randint(1, 25)
-            values = [rng.uniform(-100, 100) for _ in range(n)]
-            s = rng.uniform(-250, 250)
+            cases.append(([rng.uniform(-100, 100) for _ in range(n)], rng.uniform(-250, 250)))
+        sds = region_spreads([region for values, s in cases
+                              for region in (values, values + [s])])
+        for (values, s), (sd, appended) in zip(cases, sds.reshape(-1, 2)):
+            n = len(values)
             mean = sum(values) / n
-            var = region_sd(values) ** 2
+            var = sd ** 2
             predicted = (n / (n + 1)) * var + (n / (n + 1) ** 2) * (s - mean) ** 2
-            direct = region_sd(values + [s]) ** 2
+            direct = appended ** 2
             assert abs(predicted - direct) <= 1e-9 * max(1.0, abs(direct)), \
                 f"{predicted} vs {direct}"
 
     def classify_monotone():
         rng = random.Random(63)
-        cfg = DetectionConfig(consensus_threshold=5.0)
+        regions = []
         for _ in range(1000):
             center = rng.uniform(-20, 20)
             values = [center + rng.uniform(-2, 2) for _ in range(rng.randint(2, 9))]
-            region = ConsensusRegion(values)
             mean = sum(values) / len(values)
             d1 = rng.uniform(0, 40)
             d2 = d1 + rng.uniform(0, 40)
             sign = rng.choice((-1.0, 1.0))
-            near = classify_suspect(region, mean + sign * d1, cfg)
-            far = classify_suspect(region, mean + sign * d2, cfg)
-            assert far.combined_sd >= near.combined_sd - 1e-12
-            if near.verdict == DETECTED:
-                assert far.verdict == DETECTED
+            regions += [(values, mean + sign * d1), (values, mean + sign * d2)]
+        verdict, _, combined = consensus_batch(regions, 5.0)
+        for (near, far), (near_sd, far_sd) in zip(verdict.reshape(-1, 2),
+                                                  combined.reshape(-1, 2)):
+            assert far_sd >= near_sd - 1e-12
+            if near == DETECTED:
+                assert far == DETECTED
 
     def aggregate_bounds():
         rng = random.Random(64)

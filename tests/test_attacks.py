@@ -99,9 +99,9 @@ class _ForcedRng:
 
 def test_select_attackers_counts():
     rng = random.Random(1)
-    assert select_attackers(100, 0.1, rng).attackers_inserted == 10
+    assert len(select_attackers(100, 0.1, rng).attackers) == 10
     assert select_attackers(100, 0.0, rng).attackers == frozenset()
-    assert select_attackers(50, 0.15, rng).attackers_inserted == round(0.15 * 50)
+    assert len(select_attackers(50, 0.15, rng).attackers) == round(0.15 * 50)
 
 
 def test_select_attackers_deterministic_per_seed():
@@ -112,8 +112,8 @@ def test_select_attackers_deterministic_per_seed():
 
 def test_ground_truth_membership():
     gt = GroundTruth(n_nodes=5, attackers=frozenset({1, 3}))
-    assert gt.is_attacker(1) and not gt.is_attacker(0)
-    assert gt.attackers_inserted == 2
+    assert 1 in gt.attackers and 0 not in gt.attackers
+    assert len(gt.attackers) == 2
 
 
 def test_attack_config_validation():

@@ -341,3 +341,21 @@ def test_main_runs_when_region_spreads_overflow(tmp_path):
     kinds = [r[2] for r in _read_csv(out / "events.csv")[1:]]
     assert "suspect_added" in kinds
     assert "suspect_cleared" not in kinds and "attacker_detected" not in kinds
+
+
+def test_main_runs_when_region_cap_passes_int64(tmp_path):
+    """A consensus_region_cap past int64 is valid. No region holds more
+    readings than its receiver has neighbors, so the run writes the reports
+    of a cap past every degree instead of raising an OverflowError."""
+    outs = []
+    for cap in ("100000000000000000000", "100"):
+        path = tmp_path / f"cap-{cap}.cfg"
+        path.write_text(f"consensus_region_cap = {cap}\nattack_type = sensitive\n"
+                        "noise_sigma = 1.5\nconsensus_threshold = 1.0\nn_nodes = 40\n"
+                        "n_rounds = 20\nseed = 1\n", encoding="utf-8")
+        outs.append(tmp_path / f"o-{cap}")
+        assert main(["--config", str(path), "--out", str(outs[-1])]) == EXIT_OK
+    kinds = {r[2] for r in _read_csv(outs[0] / "events.csv")[1:]}
+    assert {"suspect_cleared", "attacker_detected"} <= kinds
+    for name in REPORTS:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -5,47 +5,52 @@ import random
 import struct
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings, strategies as hst
 
 from fdisim.detection import (ADDED, CLEARED, DETECTED, PENDING, BlacklistEntry,
-                              ConsensusRegion, DetectionConfig, build_consensus_region,
-                              classify_suspect, consensus_verdicts, handle_alert,
-                              process_suspect, region_sd)
+                              DetectionConfig, build_consensus_region, handle_alert,
+                              process_suspect)
 from fdisim.clustering import ClusterConfig, handle_data_message
 from fdisim.domain import AlertMessage, DataMessage
 
-from conftest import RefNode, scalar_region_sd, scalar_verdict
+from conftest import (RefNode, consensus_batch, region_spreads, scalar_region_sd,
+                      scalar_verdict)
 
 FIG_REGION = [14.0, 15.0, 16.0, 17.0, 18.0]
 
 
+def _judge(region, reading, threshold=5.0):
+    """The kernel's verdict code, region spread and combined spread (nan for
+    an invalid region) of one suspect reading."""
+    verdict, base, combined = consensus_batch([(region, reading)], threshold)
+    return int(verdict[0]), base.item(), combined.item()
+
+
 def test_region_sd_examples():
-    assert abs(region_sd(FIG_REGION) - math.sqrt(2)) < 1e-9
-    assert region_sd([7.0, 7.0, 7.0]) == 0.0
-    assert abs(region_sd([114.0, 115.0, 116.0, 117.0, 118.0]) - math.sqrt(2)) < 1e-9
-
-
-def test_region_sd_empty_raises():
-    with pytest.raises(ValueError, match="empty consensus region"):
-        region_sd([])
+    fig, constant, shifted = region_spreads([FIG_REGION, [7.0, 7.0, 7.0],
+                                             [114.0, 115.0, 116.0, 117.0, 118.0]])
+    assert abs(fig - math.sqrt(2)) < 1e-9
+    assert constant == 0.0
+    assert abs(shifted - math.sqrt(2)) < 1e-9
 
 
 def test_region_sd_random_identities():
     """Non-negative, zero iff constant, translation invariant, |k|-scaling."""
     rng = random.Random(123)
+    cases = []
     for _ in range(1000):
         values = [rng.uniform(-50, 50) for _ in range(rng.randint(1, 12))]
-        sd = region_sd(values)
+        cases.append((values, rng.uniform(-100, 100), rng.uniform(-5, 5)))
+    sds = region_spreads([region for values, shift, k in cases
+                          for region in (values, [v + shift for v in values],
+                                         [v * k for v in values], [0.0] * len(values))])
+    for (values, shift, k), (sd, shifted, scaled, zero) in zip(cases, sds.reshape(-1, 4)):
         assert sd >= 0.0
         if len(set(values)) == 1:
             assert sd == 0.0
-        shift = rng.uniform(-100, 100)
-        assert abs(region_sd([v + shift for v in values]) - sd) < 1e-9 * max(1.0, sd)
-        k = rng.uniform(-5, 5)
-        assert abs(region_sd([v * k for v in values]) - abs(k) * sd) \
-            <= 1e-9 * max(1.0, abs(k) * sd)
-        assert region_sd([0.0] * len(values)) == 0.0
+        assert abs(shifted - sd) < 1e-9 * max(1.0, sd)
+        assert abs(scaled - abs(k) * sd) <= 1e-9 * max(1.0, abs(k) * sd)
+        assert zero == 0.0
 
 
 def test_combined_variance_closed_form():
@@ -53,83 +58,78 @@ def test_combined_variance_closed_form():
     variance to n/(n+1)*var + n/(n+1)^2 * (s - mean)^2; checked against the
     direct evaluation on 1000 random cases."""
     rng = random.Random(2024)
+    cases = []
     for _ in range(1000):
         n = rng.randint(1, 20)
-        values = [rng.uniform(-100, 100) for _ in range(n)]
-        s = rng.uniform(-200, 200)
+        cases.append(([rng.uniform(-100, 100) for _ in range(n)], rng.uniform(-200, 200)))
+    sds = region_spreads([region for values, s in cases for region in (values, values + [s])])
+    for (values, s), (sd, appended) in zip(cases, sds.reshape(-1, 2)):
+        n = len(values)
         mean = sum(values) / n
-        var = region_sd(values) ** 2
+        var = sd ** 2
         predicted = (n / (n + 1)) * var + (n / (n + 1) ** 2) * (s - mean) ** 2
-        direct = region_sd(values + [s]) ** 2
+        direct = appended ** 2
         assert abs(predicted - direct) <= 1e-9 * max(1.0, abs(direct))
 
 
 def test_classify_fig_values():
-    cfg = DetectionConfig(consensus_threshold=5.0)
-    res = classify_suspect(ConsensusRegion(list(FIG_REGION)), 45.0, cfg)
-    assert res.verdict == DETECTED
-    assert abs(res.region_sd - math.sqrt(2)) < 1e-6
-    assert abs(res.combined_sd - 10.884494578170465) < 1e-6
+    code, base, combined = _judge(FIG_REGION, 45.0)
+    assert code == DETECTED
+    assert abs(base - math.sqrt(2)) < 1e-6
+    assert abs(combined - 10.884494578170465) < 1e-6
 
 
 def test_classify_mean_is_honest():
-    cfg = DetectionConfig(consensus_threshold=5.0)
-    mean = sum(FIG_REGION) / len(FIG_REGION)
-    res = classify_suspect(ConsensusRegion(list(FIG_REGION)), mean, cfg)
-    assert res.verdict == CLEARED
-    assert res.combined_sd <= res.region_sd + 1e-12
+    code, base, combined = _judge(FIG_REGION, sum(FIG_REGION) / len(FIG_REGION))
+    assert code == CLEARED
+    assert combined <= base + 1e-12
 
 
 def test_classify_moderate_reading_honest():
-    cfg = DetectionConfig(consensus_threshold=5.0)
-    res = classify_suspect(ConsensusRegion(list(FIG_REGION)), 22.0, cfg)
-    assert res.verdict == CLEARED
-    assert abs(res.combined_sd - math.sqrt(40 / 6)) < 1e-9
+    code, _, combined = _judge(FIG_REGION, 22.0)
+    assert code == CLEARED
+    assert abs(combined - math.sqrt(40 / 6)) < 1e-9
 
 
 def test_classify_region_invalid_when_spread_too_wide():
-    cfg = DetectionConfig(consensus_threshold=5.0)
-    res = classify_suspect(ConsensusRegion([0.0, 30.0, 60.0]), 45.0, cfg)
-    assert res.verdict == PENDING
-    assert res.combined_sd is None
+    code, _, combined = _judge([0.0, 30.0, 60.0], 45.0)
+    assert code == PENDING
+    assert math.isnan(combined)
 
 
 def test_classify_region_invalid_without_neighbor_data():
     # a consensus of one is no consensus
-    cfg = DetectionConfig(consensus_threshold=5.0)
-    res = classify_suspect(ConsensusRegion([45.0]), 14.0, cfg)
-    assert res.verdict == PENDING
+    assert _judge([45.0], 14.0)[0] == PENDING
 
 
 def test_classify_boundary_equality_is_honest():
     # combined SD exactly equal to the threshold acquits
     s = 7.5
-    boundary = region_sd([0.0, 0.0, s])
-    cfg = DetectionConfig(consensus_threshold=boundary)
-    res = classify_suspect(ConsensusRegion([0.0, 0.0]), s, cfg)
-    assert res.combined_sd == boundary
-    assert res.verdict == CLEARED
+    boundary = region_spreads([[0.0, 0.0, s]])[0]
+    code, _, combined = _judge([0.0, 0.0], s, boundary)
+    assert combined == boundary
+    assert code == CLEARED
 
 
 def test_classify_monotone_in_distance_from_mean():
     """Combined SD grows with |s - mean|; an attacker verdict never flips
     back to honest further out."""
     rng = random.Random(31)
-    cfg = DetectionConfig(consensus_threshold=5.0)
+    regions = []
     for _ in range(1000):
         n = rng.randint(2, 10)
         center = rng.uniform(-20, 20)
         values = [center + rng.uniform(-2, 2) for _ in range(n)]
-        region = ConsensusRegion(values)
         mean = sum(values) / n
         d1 = rng.uniform(0, 30)
         d2 = d1 + rng.uniform(0, 30)
         sign = rng.choice((-1.0, 1.0))
-        near = classify_suspect(region, mean + sign * d1, cfg)
-        far = classify_suspect(region, mean + sign * d2, cfg)
-        assert far.combined_sd >= near.combined_sd - 1e-12
-        if near.verdict == DETECTED:
-            assert far.verdict == DETECTED
+        regions += [(values, mean + sign * d1), (values, mean + sign * d2)]
+    verdict, _, combined = consensus_batch(regions, 5.0)
+    for (near, far), (near_sd, far_sd) in zip(verdict.reshape(-1, 2), combined.reshape(-1, 2)):
+        assert far_sd >= near_sd - 1e-12
+        if near == DETECTED:
+            assert far == DETECTED
 
 
 def _node_with_similar(node_id, own, neighbor_readings, rnd=0):
@@ -149,17 +149,17 @@ def test_process_suspect_add_then_detect():
     dcfg = DetectionConfig(consensus_threshold=5.0)
     st = _node_with_similar(0, 16.0, [14.0, 15.0, 17.0, 18.0])
 
-    code, am, res = process_suspect(st, 9, 45.0, False, None, dcfg, 1)
-    assert code == ADDED and am is None and res is None
+    assert process_suspect(st, 9, 45.0, None, dcfg, 1) == (ADDED, None, None, None)
     assert st.suspects == {9}
 
     region = build_consensus_region(st, 16.0, _similar(st), dcfg.consensus_region_cap)
-    code, am, res = process_suspect(st, 9, 45.0, False, region, dcfg, 2)
+    code, am, base, combined = process_suspect(st, 9, 45.0, region, dcfg, 2)
     assert code == DETECTED
     assert am == AlertMessage(detector=0, attacker=9, attacker_reading=45.0)
     assert 9 in st.blacklist and 9 not in st.suspects
     assert st.blacklist[9] == BlacklistEntry(detected_round=2, detector=0, reading=45.0)
-    assert abs(res.combined_sd - 10.884494578170465) < 1e-6
+    assert abs(base - math.sqrt(2)) < 1e-6
+    assert abs(combined - 10.884494578170465) < 1e-6
 
 
 def test_process_suspect_cleared_when_back_in_consensus():
@@ -167,8 +167,8 @@ def test_process_suspect_cleared_when_back_in_consensus():
     st = _node_with_similar(0, 16.0, [14.0, 15.0, 17.0, 18.0])
     st.suspects.add(9)
     region = build_consensus_region(st, 16.0, _similar(st), dcfg.consensus_region_cap)
-    code, am, res = process_suspect(st, 9, 22.0, False, region, dcfg, 1)
-    assert code == CLEARED
+    code, am, _, _ = process_suspect(st, 9, 22.0, region, dcfg, 1)
+    assert code == CLEARED and am is None
     assert 9 not in st.suspects and 9 not in st.blacklist
 
 
@@ -177,8 +177,9 @@ def test_process_suspect_pending_on_invalid_region():
     st = _node_with_similar(0, 16.0, [])  # no similar neighbors at all
     st.suspects.add(9)
     region = build_consensus_region(st, 16.0, _similar(st), dcfg.consensus_region_cap)
-    code, am, res = process_suspect(st, 9, 45.0, False, region, dcfg, 1)
-    assert code == PENDING
+    code, am, base, combined = process_suspect(st, 9, 45.0, region, dcfg, 1)
+    assert code == PENDING and am is None
+    assert base == 0.0 and math.isnan(combined)
     assert 9 in st.suspects and 9 not in st.blacklist
 
 
@@ -188,8 +189,7 @@ def test_build_consensus_region_caps_and_skips():
     st.blacklist[101] = BlacklistEntry(0, 0, 15.0)
     region = build_consensus_region(st, 16.0, _similar(st), cap=3)
     # own reading plus the three lowest-id eligible similar neighbors
-    assert region.values == [16.0, 15.5, 16.5, 17.0]
-    assert region.sd == region_sd(region.values)
+    assert region == [16.0, 15.5, 16.5, 17.0]
 
 
 def test_handle_alert_new_entry_and_forwarding():
@@ -227,18 +227,8 @@ def _same(a, b) -> bool:
     return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
 
 
-def _kernel(regions, threshold):
-    """consensus_verdicts over (region values, suspect reading) pairs."""
-    width = max(len(values) for values, _ in regions)
-    values = np.full((len(regions), width), -0.0)
-    for r, (region, _) in enumerate(regions):
-        values[r, :len(region)] = region
-    return consensus_verdicts(values, np.array([len(v) for v, _ in regions]),
-                              np.array([x for _, x in regions], dtype=float), threshold)
-
-
 def _check_kernel(regions, threshold):
-    verdict, base, spread = _kernel(regions, threshold)
+    verdict, base, spread = consensus_batch(regions, threshold)
     for r, (values, reading) in enumerate(regions):
         want, want_base, want_combined = scalar_verdict(values, reading, threshold)
         assert verdict[r] == want
@@ -267,32 +257,30 @@ def test_consensus_verdicts_match_the_scalar_filter(regions, threshold):
 def test_consensus_verdicts_on_the_threshold():
     # a region spread equal to the threshold is valid
     threshold = scalar_region_sd([0.0, 2.0])
-    assert _kernel([([0.0, 2.0], 1.0)], threshold)[0][0] == CLEARED
+    assert consensus_batch([([0.0, 2.0], 1.0)], threshold)[0][0] == CLEARED
     # a combined spread equal to the threshold acquits, one ulp above convicts
     threshold = scalar_region_sd([0.0, 0.0, 7.5])
     regions = [([0.0, 0.0], 7.5)]
-    assert _kernel(regions, threshold)[0][0] == CLEARED
-    assert _kernel(regions, np.nextafter(threshold, 0.0))[0][0] == DETECTED
+    assert consensus_batch(regions, threshold)[0][0] == CLEARED
+    assert consensus_batch(regions, np.nextafter(threshold, 0.0))[0][0] == DETECTED
     _check_kernel(regions, threshold)
 
 
 def test_spreads_are_the_scalar_loop_bit_for_bit():
-    """Over many noisy regions, in one batch and one by one through
-    region_sd. Squaring by d * d instead of pow differs from ``** 2`` in the
-    last bit on about 1 in 1,000 deviations, which this batch catches."""
+    """Over many noisy regions, in one batch and one by one. Squaring by
+    d * d instead of pow differs from ``** 2`` in the last bit on about 1 in
+    1,000 deviations, which this batch catches."""
     rng = random.Random(5)
     regions = [([rng.gauss(20.0, 1.5) for _ in range(rng.randint(1, CAP + 1))],
                 rng.gauss(20.0, 3.0)) for _ in range(5000)]
     _check_kernel(regions, 1.0)
-    for values, _ in regions[:500]:
-        assert _same(region_sd(values), scalar_region_sd(values))
+    for region in regions[:500]:
+        _check_kernel([region], 1.0)
 
 
 def test_overflowing_spread_leaves_the_suspect_pending():
     """A square that overflows makes the spread inf, not an OverflowError,
     so the region is invalid."""
-    assert region_sd([1e155, -1e155]) == math.inf
-    res = classify_suspect(ConsensusRegion([1e155, -1e155]), 0.0,
-                           DetectionConfig(consensus_threshold=1e155))
-    assert res.verdict == PENDING
-    assert res.region_sd == math.inf
+    code, base, combined = _judge([1e155, -1e155], 0.0, 1e155)
+    assert code == PENDING
+    assert base == math.inf and math.isnan(combined)

@@ -124,7 +124,7 @@ def test_detection_disabled_baseline_has_no_state():
 def test_attackers_all_blacklisted_and_labelled():
     cfg = small_cfg(attacker_fraction=0.2, n_rounds=80, seed=6)
     result = run_scenario(cfg)
-    assert result.confusion.tp == result.ground_truth.attackers_inserted
+    assert result.confusion.tp == len(result.ground_truth.attackers)
     assert result.confusion.fp == 0
     union = set()
     for bl in result.node_blacklists:
@@ -141,7 +141,7 @@ def test_steep_field_convicts_honest_nodes_without_attackers():
     result = run_scenario(ScenarioConfig(n_nodes=40, n_rounds=40, seed=1,
                                          attacker_fraction=0.0,
                                          sensing=FieldConfig(spatial_gradient=0.08)))
-    assert result.ground_truth.attackers_inserted == 0
+    assert len(result.ground_truth.attackers) == 0
     assert result.confusion.tp == 0
     assert result.confusion.fp == 8
 
@@ -316,7 +316,7 @@ def test_noisy_sensitive_conviction_completes():
     cfg.attack.attack_type = "sensitive"
     cfg.sensing.noise_sigma = 1.5
     result = run_scenario(cfg)
-    assert result.confusion.tp == result.ground_truth.attackers_inserted
+    assert result.confusion.tp == len(result.ground_truth.attackers)
 
 
 def test_overflowing_aggregates_are_discarded():

@@ -101,7 +101,7 @@ def reference_exchange(world, cfg):
         st = states[i]
         true_reading = own_readings[i]
         dm = build_data_message(i, true_reading, st.table)
-        if gt.is_attacker(i) and attack_is_active(rnd, acfg):
+        if i in gt.attackers and attack_is_active(rnd, acfg):
             forged = forge_reading(true_reading, dm.aggregate_reading, acfg, ccfg.cthresh,
                                    world.forge_rng(i))
             dm = DataMessage(i, forged, dm.aggregate_reading, dm.neighbor_count)
@@ -115,7 +115,7 @@ def reference_exchange(world, cfg):
             continue
         st = states[i]
         own = own_readings[i]
-        watch = dcfg.detection_enabled and not gt.is_attacker(i)
+        watch = dcfg.detection_enabled and i not in gt.attackers
         for j in world.adjacency[i]:
             dm = emissions[j]
             if dm is None or j in st.blacklist:
@@ -131,15 +131,15 @@ def reference_exchange(world, cfg):
             similar = [(s, st.table.reading(s)) for s in sorted(st.table.similar)]
             region = (engine.build_consensus_region(st, own, similar, dcfg.consensus_region_cap)
                       if j in st.suspects else None)
-            code, am, res = engine.process_suspect(
-                st, j, dm.individual_reading, verdict, region, dcfg, rnd)
             reading = dm.individual_reading
+            code, am, region_sd, combined_sd = engine.process_suspect(
+                st, j, reading, region, dcfg, rnd)
             if code in _SUSPECT_EVENTS:
                 events.append((rnd, _SUSPECT_EVENTS[code], i, j, reading))
             if code == DETECTED:
                 world.note_blacklisted(i, j)
                 world.detections.append(DetectionRecord(
-                    rnd, i, j, reading, res.region_sd, res.combined_sd))
+                    rnd, i, j, reading, region_sd, combined_sd))
                 fresh_alerts.append(am)
     return fresh_alerts, [j for j in range(n) if not valid[j]]
 
@@ -325,7 +325,8 @@ def _floats(lo, hi):
 @hst.composite
 def scenario_configs(draw):
     """Whole configs with every key but trace_path drawn: small worlds from
-    sparse to fully connected, every attack, crashes and detection off."""
+    sparse to fully connected, every attack, crashes, detection off and
+    consensus region caps past any degree and past int64."""
     fdi_min = draw(_floats(0.5, 10.0))
     return ScenarioConfig(
         n_nodes=draw(hst.integers(2, 45)), n_rounds=draw(hst.integers(1, 25)),
@@ -337,7 +338,8 @@ def scenario_configs(draw):
                               neighbor_ttl_rounds=draw(hst.integers(1, 4))),
         detection=DetectionConfig(consensus_threshold=draw(_floats(0.5, 8.0)),
                                   detection_enabled=draw(hst.booleans()),
-                                  consensus_region_cap=draw(hst.integers(1, 8))),
+                                  consensus_region_cap=draw(hst.one_of(
+                                      hst.integers(1, 8), hst.integers(9, 10 ** 30)))),
         attack=AttackConfig(attack_type=draw(hst.sampled_from(ATTACK_TYPES)),
                             fdi_offset_min=fdi_min,
                             fdi_offset_max=fdi_min + draw(_floats(0.0, 30.0)),
@@ -389,10 +391,10 @@ def test_reused_region_equals_a_fresh_build(case, tmp_path, monkeypatch):
             flat[(rounds[-1], b.lo + r, b.nbr.item(r, k))] = [v.hex() for v in row[:size]]
         return kernel(values, sizes, readings, threshold)
 
-    def built(state, sender, reading, verdict, region, cfg, rnd):
+    def built(state, sender, reading, region, cfg, rnd):
         if sender in state.suspects:
-            ref[(rnd, state.node_id, sender)] = [v.hex() for v in region.values]
-        return process_suspect(state, sender, reading, verdict, region, cfg, rnd)
+            ref[(rnd, state.node_id, sender)] = [v.hex() for v in region]
+        return process_suspect(state, sender, reading, region, cfg, rnd)
 
     flat, ref = {}, {}
     run_recorded(CASES[case][0](tmp_path), monkeypatch, run_round=counted,

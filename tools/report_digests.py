@@ -50,6 +50,10 @@ CONFIGS = {
     "wide-region": ({"n_nodes": "40", "n_rounds": "40", "attack_type": "sensitive",
                      "noise_sigma": "1.5", "consensus_threshold": "1.0",
                      "consensus_region_cap": "12"}, 2, 1, 1),
+    # a cap above every node's degree: the engine clamps it to the row width
+    "region-cap-past-degree": ({"n_nodes": "40", "n_rounds": "40", "attack_type": "sensitive",
+                                "noise_sigma": "1.5", "consensus_threshold": "1.0",
+                                "consensus_region_cap": "100"}, 2, 1, 1),
     # the similar flags settle, then the crash at round 50 changes only the
     # excluded set of cluster extraction
     "crash-flags-hold": ({"n_nodes": "100", "n_rounds": "80", "fdi_offset_min": "20",
