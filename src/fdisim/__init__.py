@@ -2,8 +2,8 @@
 surveillance and consensus-based exclusion of false-data injectors."""
 
 from .attacks import AttackConfig, GroundTruth, churn_is_false_phase, forge_reading
-from .clustering import (ClusterConfig, ClusterSnapshot, NeighborRecord, NeighborTable,
-                         SimilarGraph, extract_clusters, is_similar)
+from .clustering import (ClusterConfig, ClusterSnapshot, NeighborRecord, NeighborSlots,
+                         NeighborTable, extract_clusters, is_similar)
 from .detection import DetectionConfig
 from .domain import (AlertMessage, DataMessage, NodeLabel, validate_alert_message,
                      validate_data_message)

@@ -83,10 +83,12 @@ def parse_config(path: Optional[str], overrides: Optional[Dict[str, str]] = None
     cfg = ScenarioConfig()
     if path is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 lines = fh.readlines()
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path}: {exc}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {path} is not UTF-8 text") from None
         for ln, line in enumerate(lines, start=1):
             text = line.split("#", 1)[0].strip()
             if not text:

@@ -3,8 +3,10 @@ tables, leader election and per-round cluster extraction."""
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -164,21 +166,55 @@ class ClusterSnapshot:
         return out
 
 
-class SimilarGraph(Mapping):
-    """Every node's similar neighbors, read from ``(n, maxdeg)`` slot arrays:
-    slot k of row i holds neighbor ``nbr[i, k]``, similar to i where
-    ``flag[i, k]``, and ``rev[i, k]`` is the flat cell of i in that
-    neighbor's row (a cell past i's degree maps to itself and is never
-    flagged). A live view: ``graph[i]`` is the set the flags hold when asked.
+# last-seen round of a slot that holds no record
+NO_RECORD = -1
 
-    It also keeps what ``extract_clusters`` last took from it: the flags and
-    excluded set it solved, the snapshot, and every node's component label.
+
+class NeighborSlots(Mapping):
+    """Every receiver's neighbor state, as ``(n, maxdeg)`` arrays indexed by
+    adjacency slot: slot k of row i holds node i's k-th lowest neighbor
+    ``nbr[i, k]``, its record (``rec_x``, ``rec_a``, ``rec_c`` and ``seen``:
+    reading, aggregate, count and last-seen round), the similar flag, and
+    whether i blacklists or suspects it. ``sum_aw`` and ``sum_w`` are each
+    receiver's running sums of aggregate * count and of count over its
+    similar slots. ``rev[i, k]`` is the flat cell of i in the row of its
+    k-th neighbor; a cell past i's degree maps to itself and is never flagged.
+
+    As a mapping it is the similarity graph, a live view: ``slots[i]`` is
+    the similar set node i's flags hold when asked. It also keeps what
+    ``extract_clusters`` last took from it: the flags and excluded set it
+    solved, the snapshot, and every node's component label.
     """
 
-    def __init__(self, nbr: np.ndarray, flag: np.ndarray, rev: np.ndarray) -> None:
-        n = len(nbr)
-        self.nbr, self.flag, self.rev = nbr, flag, rev
-        self.upper = nbr > np.arange(n)[:, None]  # slots whose edge runs to a larger id
+    def __init__(self, adjacency: List[List[int]]) -> None:
+        n = len(adjacency)
+        self.adjacency = adjacency
+        self.degree = degree = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
+        shape = (n, max(1, int(degree.max())))
+        real = np.arange(shape[1]) < degree[:, None]
+        self.nbr = np.zeros(shape, dtype=np.intp)
+        self.nbr[real] = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp,
+                                     count=int(degree.sum()))
+        # the adjacency is symmetric, so the real cells sorted by (neighbor,
+        # row) are, in turn, the reverses of the cells in row-major order; the
+        # cells are in row order already, and a stable sort of a key as
+        # narrow as np.min_scalar_type(n) is a radix sort
+        cells = np.flatnonzero(real)
+        by_nbr = np.argsort(self.nbr.ravel()[cells].astype(np.min_scalar_type(n)),
+                            kind="stable")
+        self.rev = np.arange(real.size).reshape(shape)
+        np.put(self.rev, cells[by_nbr], cells)
+        self.rec_x = np.zeros(shape)
+        self.rec_a = np.zeros(shape)
+        self.rec_c = np.zeros(shape)
+        self.seen = np.full(shape, NO_RECORD, dtype=np.int32)
+        self.flag = np.zeros(shape, dtype=bool)
+        # slots past a node's degree are blocked, so they never take a message
+        self.blocked = ~real
+        self.suspected = np.zeros(shape, dtype=bool)
+        self.sum_aw = np.zeros(n)
+        self.sum_w = np.zeros(n)
+        self.upper = self.nbr > np.arange(n)[:, None]  # slots whose edge runs to a larger id
         self.label = np.arange(n)
         self.solved: Optional[Tuple[np.ndarray, FrozenSet[int], ClusterSnapshot]] = None
         self._leaders: Dict[int, Tuple[int, ...]] = {}
@@ -194,9 +230,27 @@ class SimilarGraph(Mapping):
     def __len__(self) -> int:
         return len(self.nbr)
 
+    def slot(self, i: int, j: int) -> Optional[int]:
+        """Node j's slot in node i's row, or None when they are not adjacent."""
+        neigh = self.adjacency[i]
+        k = bisect_left(neigh, j)
+        return k if k < len(neigh) and neigh[k] == j else None
+
+    def forget(self, rows: np.ndarray, cols: np.ndarray) -> None:
+        """Forget the records in the given cells (blacklist purge,
+        staleness). A similar one leaves its receiver's sums, subtracted
+        one cell at a time in the order given."""
+        similar = self.flag[rows, cols]
+        if similar.any():
+            r, k = rows[similar], cols[similar]
+            np.subtract.at(self.sum_aw, r, self.rec_a[r, k] * self.rec_c[r, k])
+            np.subtract.at(self.sum_w, r, self.rec_c[r, k])
+        self.flag[rows, cols] = False
+        self.seen[rows, cols] = NO_RECORD
+
     def leaders_of(self, node: int) -> Tuple[int, ...]:
         """The leaders of node's cluster in the last snapshot extracted from
-        this graph; () if node was in no cluster."""
+        these slots; () if node was in no cluster."""
         return self._leaders.get(int(self.label[node]), ())
 
 
@@ -224,7 +278,7 @@ def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return label
 
 
-def extract_clusters(graph: SimilarGraph, rnd: int,
+def extract_clusters(graph: NeighborSlots, rnd: int,
                      excluded: AbstractSet[int] = frozenset()) -> ClusterSnapshot:
     """Connected components of the mutual-similarity graph.
 

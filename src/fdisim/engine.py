@@ -2,17 +2,16 @@
 per-round data-message exchange, alert propagation, leader election and
 cluster snapshotting.
 
-Each receiver's neighbor state lives in ``(n, maxdeg)`` arrays indexed by
-adjacency slot: slot k of row i belongs to node i's k-th lowest neighbor id.
+Each receiver's neighbor state lives in the ``(n, maxdeg)`` slot arrays of
+``clustering.NeighborSlots``.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import repeat
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -21,8 +20,8 @@ from .attacks import AttackConfig, GroundTruth, attack_is_active, forge_reading,
 # process_suspect, prune_ids, transition_label and validate_data_message are
 # not called here; the names stay imported because the benchmark's tracing
 # wraps them in this namespace by name
-from .clustering import (ClusterConfig, ClusterSnapshot, SimilarGraph, build_data_message,
-                         extract_clusters, handle_data_message, prune_ids)
+from .clustering import (NO_RECORD, ClusterConfig, ClusterSnapshot, NeighborSlots,
+                         build_data_message, extract_clusters, handle_data_message, prune_ids)
 from .detection import (ADDED, CLEARED, DETECTED, BlacklistEntry, DetectionConfig,
                         build_consensus_region, consensus_verdicts, handle_alert,
                         process_suspect)
@@ -41,8 +40,6 @@ EVENT_NODE_EXCLUDED = "node_excluded"
 
 # cells of one row block of the pairwise-distance computation and of phase 2
 _ADJACENCY_BLOCK_CELLS = 1 << 14
-# last-seen round of a slot that holds no record
-NO_RECORD = -1
 # what a phase-2 slot logs beside detection's codes (PENDING logs nothing)
 _DISCARDED = 4
 # the event a phase-2 slot logs, indexed by detection's codes and _DISCARDED
@@ -94,64 +91,6 @@ class ScenarioConfig:
             self.sensing.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-
-class NeighborSlots:
-    """Every receiver's neighbor state, as ``(n, maxdeg)`` arrays indexed by
-    adjacency slot: the record (``rec_x``, ``rec_a``, ``rec_c`` and ``seen``:
-    reading, aggregate, count and last-seen round), the similar flag, and
-    whether the receiver blacklists or suspects that neighbor. ``sum_aw``
-    and ``sum_w`` are each receiver's running sums of aggregate * count and
-    of count over its similar slots. ``rev[i, k]`` is the flat cell of i in
-    the row of its k-th neighbor; a cell past i's degree maps to itself.
-    ``degree`` is each node's neighbor count."""
-
-    def __init__(self, adjacency: List[List[int]]) -> None:
-        n = len(adjacency)
-        self.adjacency = adjacency
-        self.degree = degree = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
-        shape = (n, max(1, int(degree.max())))
-        real = np.arange(shape[1]) < degree[:, None]
-        self.nbr = np.zeros(shape, dtype=np.intp)
-        self.nbr[real] = np.fromiter(chain.from_iterable(adjacency), dtype=np.intp,
-                                     count=int(degree.sum()))
-        # the adjacency is symmetric, so the real cells sorted by (neighbor,
-        # row) are, in turn, the reverses of the cells in row-major order; the
-        # cells are in row order already, and a stable sort of a key as
-        # narrow as np.min_scalar_type(n) is a radix sort
-        cells = np.flatnonzero(real)
-        by_nbr = np.argsort(self.nbr.ravel()[cells].astype(np.min_scalar_type(n)),
-                            kind="stable")
-        self.rev = np.arange(real.size).reshape(shape)
-        np.put(self.rev, cells[by_nbr], cells)
-        self.rec_x = np.zeros(shape)
-        self.rec_a = np.zeros(shape)
-        self.rec_c = np.zeros(shape)
-        self.seen = np.full(shape, NO_RECORD, dtype=np.int32)
-        self.flag = np.zeros(shape, dtype=bool)
-        # slots past a node's degree are blocked, so they never take a message
-        self.blocked = ~real
-        self.suspected = np.zeros(shape, dtype=bool)
-        self.sum_aw = np.zeros(n)
-        self.sum_w = np.zeros(n)
-
-    def slot(self, i: int, j: int) -> Optional[int]:
-        """Node j's slot in node i's row, or None when they are not adjacent."""
-        neigh = self.adjacency[i]
-        k = bisect_left(neigh, j)
-        return k if k < len(neigh) and neigh[k] == j else None
-
-    def forget(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Forget the records in the given cells (blacklist purge,
-        staleness). A similar one leaves its receiver's sums, subtracted
-        one cell at a time in the order given."""
-        similar = self.flag[rows, cols]
-        if similar.any():
-            r, k = rows[similar], cols[similar]
-            np.subtract.at(self.sum_aw, r, self.rec_a[r, k] * self.rec_c[r, k])
-            np.subtract.at(self.sum_w, r, self.rec_c[r, k])
-        self.flag[rows, cols] = False
-        self.seen[rows, cols] = NO_RECORD
 
 
 @dataclass(slots=True)
@@ -229,7 +168,6 @@ class WorldState:
         self.crashed = crashed
         self.slots = NeighborSlots(adjacency)
         self.blacklists: List[Dict[int, BlacklistEntry]] = [{} for _ in range(cfg.n_nodes)]
-        self.similar = SimilarGraph(self.slots.nbr, self.slots.flag, self.slots.rev)
         self.round = 0
         # the alerts this round's leaders forward, flooded to every leader next round
         self.pending_alerts: List[AlertMessage] = []
@@ -244,15 +182,14 @@ class WorldState:
         self.forge_rngs = {i: random.Random(f"{cfg.seed}/forge/{i}")
                            for i in ground_truth.attackers}
 
-    def node_is_dead(self, node_id: int) -> bool:
-        return node_id in self.crashed and self.round >= self.cfg.crash_round
+    def dead(self) -> AbstractSet[int]:
+        """The crashed nodes from the crash round on; none before it."""
+        return self.crashed if self.round >= self.cfg.crash_round else frozenset()
 
     def live_mask(self) -> np.ndarray:
         """True for every node that is neither excluded nor dead."""
         live = np.ones(self.cfg.n_nodes, dtype=bool)
-        live[list(self.excluded)] = False
-        if self.round >= self.cfg.crash_round:
-            live[list(self.crashed)] = False
+        live[list(self.excluded | self.dead())] = False
         return live
 
     def _note_blacklisted(self, observer: int, target: int) -> Optional[int]:
@@ -276,7 +213,7 @@ def _deliver_alert(world: WorldState, receiver: int, am: AlertMessage, rnd: int)
     phase-2 block's write-back instead.
     """
     blacklist = world.blacklists[receiver]
-    if am.attacker in blacklist or world.node_is_dead(receiver):
+    if am.attacker in blacklist or receiver in world.dead():
         return False
     forward = handle_alert(blacklist, am, receiver in world.global_leaders, rnd)
     if am.attacker not in blacklist:
@@ -564,7 +501,7 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
     for am in fresh_alerts:
         if am.detector in world.global_leaders:
             forwards.append((am.detector, am))
-        forwards.extend((target, am) for target in world.similar.leaders_of(am.detector)
+        forwards.extend((target, am) for target in slots.leaders_of(am.detector)
                         if target != am.detector and _deliver_alert(world, target, am, rnd))
     world.pending_alerts = [am for _, am in forwards]
     events.extend((rnd, EVENT_ALERT_FORWARDED, target, am.attacker, am.attacker_reading)
@@ -589,10 +526,7 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
 
     # phase 5: election and snapshot over globally non-blacklisted nodes;
     # dead nodes hold frozen state and cannot be cluster participants
-    snapshot_excluded = world.blacklisted_union
-    if world.crashed and rnd >= cfg.crash_round:
-        snapshot_excluded = snapshot_excluded | world.crashed
-    snapshot = extract_clusters(world.similar, rnd, excluded=snapshot_excluded)
+    snapshot = extract_clusters(slots, rnd, excluded=world.blacklisted_union | world.dead())
     world.snapshots.append(snapshot)
     world.blacklisted_counts.append(len(world.blacklisted_union))
     world.global_leaders = snapshot.all_leaders()

@@ -45,51 +45,14 @@ def compute_confusion(ground_truth: GroundTruth, blacklisted: Set[int],
                            total_interactions=total_interactions)
 
 
-def _ratio(num: int, den: int) -> Optional[float]:
-    """num / den, or None when the denominator is 0."""
-    return num / den if den else None
-
-
-def detection_rate(c: ConfusionCounts) -> Optional[float]:
-    """Fraction of inserted attackers detected at least once; None when no
-    attackers were inserted."""
-    return _ratio(c.tp, c.attackers_inserted)
-
-
-def accuracy(c: ConfusionCounts) -> Optional[float]:
-    return _ratio(c.tp + c.tn, c.tp + c.tn + c.fp + c.fn)
-
-
-def fpr(c: ConfusionCounts) -> Optional[float]:
-    return _ratio(c.fp, c.fp + c.tn)
-
-
-def fnr(c: ConfusionCounts) -> Optional[float]:
-    return _ratio(c.fn, c.fn + c.tp)
-
-
-def precision_recall_f1(c: ConfusionCounts) -> Tuple[Optional[float], Optional[float], Optional[float]]:
-    precision = _ratio(c.tp, c.tp + c.fp)
-    recall = _ratio(c.tp, c.tp + c.fn)
-    if precision is None or recall is None:
-        return precision, recall, None
-    if precision == 0.0 and recall == 0.0:
-        return precision, recall, 0.0
-    return precision, recall, 2.0 * precision * recall / (precision + recall)
-
-
-def fn_count_paper(c: ConfusionCounts) -> int:
-    """Legacy unnormalized miss count kept for traceability: interactions
-    minus the detection total. Reported raw, never fed into the rates."""
-    return c.total_interactions - c.tp
-
-
 @dataclass
 class MetricsReport:
     """Per-run metric values; None marks a metric whose denominator was
     empty (reported as not-applicable downstream). The fields, in order,
     are the metric columns of the raw report."""
 
+    # legacy unnormalized miss count kept for traceability: interactions
+    # minus the detection total; reported raw, never fed into the rates
     fn_count_paper: int
     detection_rate: Optional[float]
     accuracy: Optional[float]
@@ -119,17 +82,26 @@ def cluster_availability(snapshots: Sequence[ClusterSnapshot], ground_truth: Gro
 
 
 def build_report(c: ConfusionCounts, availability: Sequence[Tuple[int, int, int]]) -> MetricsReport:
+    """Every rate of one run from its counts; a rate whose denominator is 0
+    is None. Validation makes tp + fn equal attackers_inserted, so the
+    detection rate (attackers detected at least once over those inserted)
+    is the recall."""
     c.validate()
-    acc = accuracy(c)
-    precision, recall, f1 = precision_recall_f1(c)
+    tp, tn, fp, fn = c.tp, c.tn, c.fp, c.fn
+    recall = tp / (tp + fn) if tp + fn else None
+    precision = tp / (tp + fp) if tp + fp else None
+    acc = (tp + tn) / (tp + tn + fp + fn) if tp + tn + fp + fn else None
+    f1 = None
+    if precision is not None and recall is not None:
+        f1 = 2.0 * precision * recall / (precision + recall) if tp else 0.0
     n_rounds = len(availability)
     return MetricsReport(
-        fn_count_paper=fn_count_paper(c),
-        detection_rate=detection_rate(c),
+        fn_count_paper=c.total_interactions - tp,
+        detection_rate=recall,
         accuracy=acc,
         accuracy_x100=None if acc is None else acc * 100.0,
-        fpr=fpr(c),
-        fnr=fnr(c),
+        fpr=fp / (fp + tn) if fp + tn else None,
+        fnr=fn / (fn + tp) if fn + tp else None,
         precision=precision,
         recall=recall,
         f1=f1,

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import fdisim.engine as engine
-from fdisim.clustering import ClusterSnapshot, NeighborRecord, NeighborTable, SimilarGraph
+from fdisim.clustering import (NO_RECORD, ClusterSnapshot, NeighborRecord, NeighborSlots,
+                               NeighborTable)
 from fdisim.detection import CLEARED, DETECTED, PENDING, consensus_verdicts
-from fdisim.engine import NeighborSlots, ScenarioConfig
+from fdisim.engine import ScenarioConfig
 
 # node 2 broadcasts a wildly off reading every round; the others span 14..18
 GOLDEN_READINGS = [14.0, 15.0, 45.0, 16.0, 17.0, 18.0]
@@ -74,7 +75,7 @@ def slot_records(world, i):
     s = world.slots
     return {s.nbr.item(i, k): NeighborRecord(s.rec_x.item(i, k), s.rec_a.item(i, k),
                                              int(s.rec_c.item(i, k)), s.seen.item(i, k))
-            for k in range(s.nbr.shape[1]) if s.seen[i, k] != engine.NO_RECORD}
+            for k in range(s.nbr.shape[1]) if s.seen[i, k] != NO_RECORD}
 
 
 def run_recorded(cfg, monkeypatch, world_class=engine.WorldState, **replacements):
@@ -95,8 +96,8 @@ def run_recorded(cfg, monkeypatch, world_class=engine.WorldState, **replacements
     return result, worlds[0]
 
 
-def similar_graph(similar_sets: Mapping[int, Set[int]], n: int) -> SimilarGraph:
-    """A SimilarGraph over nodes 0..n-1 whose flags hold the given similar
+def similar_graph(similar_sets: Mapping[int, Set[int]], n: int) -> NeighborSlots:
+    """Slot arrays over nodes 0..n-1 whose flags hold the given similar
     sets (a node missing from the mapping has none). Two nodes are adjacent
     when either holds the other."""
     adjacency = [set() for _ in range(n)]
@@ -108,7 +109,7 @@ def similar_graph(similar_sets: Mapping[int, Set[int]], n: int) -> SimilarGraph:
     for i, similar in similar_sets.items():
         for j in similar:
             slots.flag[i, slots.slot(i, j)] = True
-    return SimilarGraph(slots.nbr, slots.flag, slots.rev)
+    return slots
 
 
 def elect_leaders(counts: Mapping[int, int]) -> Set[int]:

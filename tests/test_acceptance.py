@@ -18,7 +18,7 @@ from fdisim.detection import DETECTED
 from fdisim.domain import NodeLabel, transition_label
 from fdisim.engine import (EVENT_ATTACKER_DETECTED, EVENT_DM_SENT, EVENT_NODE_EXCLUDED,
                            EVENT_SUSPECT_ADDED, ScenarioConfig, run_scenario)
-from fdisim.metrics import ConfusionCounts, detection_rate, fnr, precision_recall_f1
+from fdisim.metrics import ConfusionCounts, build_report
 from fdisim.cli import run_sweep
 
 from conftest import (GOLDEN_BAD_NODE, GOLDEN_DETECTOR, consensus_batch, region_spreads,
@@ -272,10 +272,11 @@ def test_criterion_6_property_suites():
                                 fp=rng.randint(0, 40), fn=rng.randint(0, 40),
                                 attackers_inserted=0, total_interactions=0)
             c.attackers_inserted = c.tp + c.fn
-            dr, miss = detection_rate(c), fnr(c)
+            rp = build_report(c, [(0, 0, 0)])
+            dr, miss = rp.detection_rate, rp.fnr
             if dr is not None:
                 assert abs(dr + miss - 1.0) < 1e-12
-            p, r, f1 = precision_recall_f1(c)
+            p, r, f1 = rp.precision, rp.recall, rp.f1
             if f1 is not None:
                 assert min(p, r) - 1e-12 <= f1 <= max(p, r) + 1e-12
 

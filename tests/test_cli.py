@@ -201,6 +201,26 @@ def test_main_reads_a_trace_with_a_byte_order_mark(tmp_path):
     assert sent == ["1.5", "2.5"]
 
 
+def test_main_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "s.cfg"
+    path.write_bytes(b"n_nodes = 10\n# \xff\xfe\n")
+    code = main(["--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: config file {path} is not UTF-8 text\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_reads_a_config_with_a_byte_order_mark(tmp_path):
+    """A config saved by an editor that writes a byte-order mark first."""
+    path = tmp_path / "s.cfg"
+    path.write_bytes(b"\xef\xbb\xbfn_nodes = 10\r\nn_rounds = 2\r\n")
+    out = tmp_path / "o"
+    code = main(["--config", str(path), "--attackers-pct", "0", "--out", str(out)])
+    assert code == EXIT_OK
+    sent = [r for r in _read_csv(out / "events.csv")[1:] if r[2] == "dm_sent"]
+    assert len(sent) == 2 * 10
+
+
 def test_main_io_error_exit(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory", encoding="utf-8")

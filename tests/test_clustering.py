@@ -3,6 +3,7 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -300,6 +301,16 @@ def test_graph_view_reads_the_flags():
     # a live view: a flag written in place shows at once
     graph.flag[2, 0] = True  # node 2's only neighbor is 3
     assert graph[2] == {3}
+
+
+def test_slots_are_a_mapping_of_the_similar_sets():
+    sets = {0: {1, 4}, 1: {0, 2}, 2: set(), 3: {2, 4}, 4: {0}}
+    slots = similar_graph(sets, 5)
+    assert dict(slots.items()) == sets
+    assert len(slots) == 5
+    for node in (-1, 5):
+        with pytest.raises(KeyError):
+            slots[node]
 
 
 def test_no_mutual_edge_gives_no_cluster():

@@ -10,6 +10,7 @@ import pytest
 
 import fdisim.engine as engine
 from fdisim.attacks import AttackConfig
+from fdisim.clustering import NeighborSlots
 from fdisim.engine import (ConfigError, EVENT_ALERT_FORWARDED, EVENT_ATTACKER_DETECTED,
                            EVENT_DM_DISCARDED, EVENT_DM_SENT, EVENT_NODE_EXCLUDED,
                            EVENT_SUSPECT_ADDED, EVENT_SUSPECT_CLEARED, ScenarioConfig,
@@ -446,7 +447,7 @@ def test_reverse_slot_index_points_back(n_nodes):
     rng = random.Random(n_nodes)
     positions = [(rng.uniform(0, 200), rng.uniform(0, 200)) for _ in range(n_nodes)]
     adjacency = engine.compute_adjacency(positions, 60.0)
-    slots = engine.NeighborSlots(adjacency)
+    slots = NeighborSlots(adjacency)
     width = slots.nbr.shape[1]
     for i, neigh in enumerate(adjacency):
         for k in range(width):

@@ -65,8 +65,8 @@ class ReferenceWorld:
             self._forge_rngs[node_id] = random.Random(f"{self.cfg.seed}/forge/{node_id}")
         return self._forge_rngs[node_id]
 
-    def node_is_dead(self, node_id):
-        return node_id in self.crashed and self.round >= self.cfg.crash_round
+    def dead(self):
+        return self.crashed if self.round >= self.cfg.crash_round else set()
 
     def note_blacklisted(self, observer, target):
         self.blacklisted_union.add(target)
@@ -96,7 +96,7 @@ def reference_exchange(world, cfg):
     valid = [False] * n
     own_readings = [world.source.reading(i, rnd) for i in range(n)]
     for i in range(n):
-        if i in world.excluded or world.node_is_dead(i):
+        if i in world.excluded or i in world.dead():
             continue
         st = states[i]
         true_reading = own_readings[i]
@@ -111,7 +111,7 @@ def reference_exchange(world, cfg):
 
     fresh_alerts: List[AlertMessage] = []
     for i in range(n):
-        if i in world.excluded or world.node_is_dead(i):
+        if i in world.excluded or i in world.dead():
             continue
         st = states[i]
         own = own_readings[i]
@@ -146,7 +146,7 @@ def reference_exchange(world, cfg):
 
 def _deliver(world, receiver, am, rnd):
     st = world.states[receiver]
-    if am.attacker in st.blacklist or world.node_is_dead(receiver):
+    if am.attacker in st.blacklist or receiver in world.dead():
         return False
     forward = handle_alert(st.blacklist, am, receiver in world.global_leaders, rnd)
     if am.attacker not in st.blacklist:
@@ -193,7 +193,7 @@ def reference_round(world, cfg):
 
     # phase 4: TTL maintenance over every live node
     for i in range(n):
-        if i not in world.excluded and not world.node_is_dead(i):
+        if i not in world.excluded and i not in world.dead():
             prune_ids(states[i].table, unheard, rnd, cfg.cluster)
 
     # phase 5: election and snapshot over globally non-blacklisted, live nodes

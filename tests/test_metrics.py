@@ -8,9 +8,8 @@ import pytest
 
 from fdisim.attacks import GroundTruth
 from fdisim.clustering import ClusterSnapshot
-from fdisim.metrics import (ConfusionCounts, accuracy, aggregate_runs, build_report,
-                            cluster_availability, compute_confusion, detection_rate,
-                            fn_count_paper, fnr, fpr, mean_ci, precision_recall_f1)
+from fdisim.metrics import (ConfusionCounts, aggregate_runs, build_report, cluster_availability,
+                            compute_confusion, mean_ci)
 
 
 def counts(tp, tn, fp, fn, t_int=1000):
@@ -18,53 +17,60 @@ def counts(tp, tn, fp, fn, t_int=1000):
                            total_interactions=t_int)
 
 
+def rates(c):
+    """The report of counts c over one round without clusters."""
+    return build_report(c, [(0, 0, 0)])
+
+
 def test_detection_rate_examples():
-    assert detection_rate(counts(9, 85, 3, 1)) == 0.9
-    assert detection_rate(counts(10, 90, 0, 0)) == 1.0
-    assert detection_rate(counts(0, 90, 0, 10)) == 0.0
-    assert detection_rate(counts(0, 100, 0, 0)) is None
+    assert rates(counts(9, 85, 3, 1)).detection_rate == 0.9
+    assert rates(counts(10, 90, 0, 0)).detection_rate == 1.0
+    assert rates(counts(0, 90, 0, 10)).detection_rate == 0.0
+    assert rates(counts(0, 100, 0, 0)).detection_rate is None
 
 
 def test_accuracy_examples():
-    assert accuracy(counts(9, 85, 3, 3)) == 0.94
-    assert accuracy(counts(10, 90, 0, 0)) == 1.0
+    assert rates(counts(9, 85, 3, 3)).accuracy == 0.94
+    assert rates(counts(10, 90, 0, 0)).accuracy == 1.0
 
 
 def test_fpr_fnr_examples():
-    assert abs(fpr(counts(9, 87, 3, 1)) - 3 / 90) < 1e-12
-    assert fnr(counts(10, 90, 0, 0)) == 0.0
-    assert fnr(counts(7, 90, 0, 3)) == 0.3
-    assert fpr(ConfusionCounts(1, 0, 0, 0, 1, 10)) is None
+    assert abs(rates(counts(9, 87, 3, 1)).fpr - 3 / 90) < 1e-12
+    assert rates(counts(10, 90, 0, 0)).fnr == 0.0
+    assert rates(counts(7, 90, 0, 3)).fnr == 0.3
+    assert rates(ConfusionCounts(1, 0, 0, 0, 1, 10)).fpr is None
 
 
 def test_precision_recall_f1_examples():
-    p, r, f1 = precision_recall_f1(counts(96, 0, 4, 0))
-    assert (p, r, f1) == (0.96, 1.0, 2 * 0.96 / 1.96)
+    rp = rates(counts(96, 0, 4, 0))
+    assert (rp.precision, rp.recall, rp.f1) == (0.96, 1.0, 2 * 0.96 / 1.96)
     # harmonic-mean oracle for the reported precision/recall magnitudes
     f1 = 2 * 0.96 * 0.84 / (0.96 + 0.84)
     assert abs(f1 - 0.896) < 1e-3
-    assert precision_recall_f1(counts(5, 5, 0, 0))[2] == 1.0
-    p, r, f1 = precision_recall_f1(counts(0, 5, 3, 4))
-    assert f1 == 0.0
-    p, r, f1 = precision_recall_f1(ConfusionCounts(0, 5, 0, 0, 0, 10))
-    assert p is None and r is None and f1 is None
+    assert rates(counts(5, 5, 0, 0)).f1 == 1.0
+    assert rates(counts(0, 5, 3, 4)).f1 == 0.0
+    rp = rates(ConfusionCounts(0, 5, 0, 0, 0, 10))
+    assert rp.precision is None and rp.recall is None and rp.f1 is None
 
 
 def test_rate_identities_random():
-    """DR + FNR = 1 (shared denominator); f1 between min and max of p, r."""
+    """DR + FNR = 1 (shared denominator); DR is the recall; f1 between min
+    and max of p, r."""
     rng = random.Random(55)
     for _ in range(1000):
         c = counts(rng.randint(0, 50), rng.randint(0, 200),
                    rng.randint(0, 50), rng.randint(0, 50))
-        dr, miss = detection_rate(c), fnr(c)
+        rp = rates(c)
+        dr, miss = rp.detection_rate, rp.fnr
         if dr is not None and miss is not None:
             assert abs(dr + miss - 1.0) < 1e-12
-        p, r, f1 = precision_recall_f1(c)
+        p, r, f1 = rp.precision, rp.recall, rp.f1
+        assert dr == r
         if f1 is not None and p is not None and r is not None:
             assert min(p, r) - 1e-12 <= f1 <= max(p, r) + 1e-12
             if p == r:
                 assert abs(f1 - p) < 1e-12
-        for value in (dr, miss, p, r, f1, accuracy(c), fpr(c)):
+        for value in (dr, miss, p, r, f1, rp.accuracy, rp.fpr):
             if value is not None:
                 assert -1e-12 <= value <= 1 + 1e-12
 
@@ -85,7 +91,7 @@ def test_compute_confusion():
 
 
 def test_fn_count_paper_traceability():
-    assert fn_count_paper(counts(4, 0, 0, 1, t_int=100)) == 96
+    assert rates(counts(4, 0, 0, 1, t_int=100)).fn_count_paper == 96
 
 
 def snap(rnd, clusters):
