@@ -6,6 +6,7 @@ import argparse
 import os
 import sys
 import tempfile
+from contextlib import ExitStack
 from dataclasses import fields, is_dataclass, replace
 from multiprocessing import get_context
 from operator import attrgetter
@@ -126,36 +127,6 @@ def _csv_line(row: Sequence) -> str:
     return ",".join(map(_fmt, row)) + "\r\n"
 
 
-class _AtomicCsv:
-    """A CSV report staged in a temp file beside its path and renamed over
-    it on commit, so a reader finds the old report or the new one, whole."""
-
-    def __init__(self, path: str, header: Sequence[str]) -> None:
-        self.path = path
-        directory = os.path.dirname(path) or "."
-        fd, self._tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".csv")
-        self._fh = os.fdopen(fd, "w", newline="", encoding="utf-8")
-        self._fh.write(_csv_line(header))
-
-    def write_text(self, text: str) -> None:
-        """Rows already written out as CSV lines, each ending in \\r\\n."""
-        self._fh.write(text)
-
-    def commit(self) -> None:
-        self._fh.close()
-        # mkstemp's file is owner-only; give it the mode open(path, "w") would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(self._tmp, 0o666 & ~umask)
-        os.replace(self._tmp, self.path)
-
-    def discard(self) -> None:
-        if not self._fh.closed:
-            self._fh.close()
-        if os.path.exists(self._tmp):
-            os.unlink(self._tmp)
-
-
 def _run_one(args: Tuple[ScenarioConfig, int]) -> RunResult:
     cfg, seed = args
     return run_scenario(replace(cfg, seed=seed))
@@ -174,67 +145,66 @@ def run_sweep(cfg: ScenarioConfig, runs: int, base_seed: int, out_dir: str,
     """
     if runs < 1:
         raise ConfigError("runs must be >= 1")
-    open_files: List[_AtomicCsv] = []
+    targets = [(os.path.join(out_dir, name), header) for name, header in (
+        ("summary.csv", SUMMARY_COLUMNS), (os.path.join("raw", "metrics.csv"), RAW_COLUMNS),
+        ("timeseries.csv", TIMESERIES_COLUMNS), ("events.csv", EVENTS_COLUMNS))]
+    work = [(cfg, base_seed + k) for k in range(runs)]
+    # each report is staged in one temp directory and renamed over its path,
+    # so a reader finds the old report or the new one, whole; a sweep that
+    # fails before the renames changes no report, but a failed rename leaves
+    # the reports renamed before it
     try:
         os.makedirs(os.path.join(out_dir, "raw"), exist_ok=True)
-        for name, header in (("summary.csv", SUMMARY_COLUMNS),
-                             (os.path.join("raw", "metrics.csv"), RAW_COLUMNS),
-                             ("timeseries.csv", TIMESERIES_COLUMNS),
-                             ("events.csv", EVENTS_COLUMNS)):
-            open_files.append(_AtomicCsv(os.path.join(out_dir, name), header))
-        summary_csv, raw_csv, ts_csv, ev_csv = open_files
+        with tempfile.TemporaryDirectory(dir=out_dir, prefix=".tmp-") as tmp:
+            staged = [os.path.join(tmp, os.path.basename(path)) for path, _ in targets]
+            with ExitStack() as stack:
+                summary_csv, raw_csv, ts_csv, ev_csv = files = [
+                    stack.enter_context(open(path, "w", newline="", encoding="utf-8"))
+                    for path in staged]
+                for fh, (_, header) in zip(files, targets):
+                    fh.write(_csv_line(header))
+                if jobs > 1 and runs > 1:
+                    pool = stack.enter_context(get_context("fork").Pool(processes=min(jobs, runs)))
+                    results = pool.imap(_run_one, work)
+                else:
+                    results = map(_run_one, work)
+                # rows are written out as runs complete, in seed order; each
+                # result is dropped before the next run starts (an enumerate
+                # over results would hold it in the tuple it reuses)
+                reports: List[MetricsReport] = []
+                for run_idx in range(runs):
+                    result = next(results)
+                    reports.append(result.report)
+                    raw_csv.write(_csv_line(_raw_row(run_idx, result)))
+                    ts_csv.write("".join([
+                        f"{run_idx},{rnd},{total},{clean},{bl}\r\n"
+                        for (rnd, total, clean), bl in zip(result.availability,
+                                                           result.blacklisted_counts)]))
+                    # event names are constants, the rest ints and float reprs
+                    ev_csv.write("".join([
+                        f"{run_idx},{rnd},{event},{node},{'na' if subject is None else subject},"
+                        f"{'na' if value is None else repr(value)}\r\n"
+                        for rnd, event, node, subject, value in result.events]))
+                    del result
 
-        # rows are written out as runs complete; results arrive in seed order
-        # regardless of worker scheduling
-        work = [(cfg, base_seed + k) for k in range(runs)]
-        reports: List[MetricsReport] = []
-
-        def consume(run_idx: int, result: RunResult) -> None:
-            reports.append(result.report)
-            raw_csv.write_text(_csv_line(_raw_row(run_idx, result)))
-            ts_csv.write_text("".join([
-                f"{run_idx},{rnd},{total},{clean},{bl}\r\n"
-                for (rnd, total, clean), bl in zip(result.availability,
-                                                   result.blacklisted_counts)]))
-            # event names are constants, the rest ints and float reprs
-            ev_csv.write_text("".join([
-                f"{run_idx},{rnd},{event},{node},{'na' if subject is None else subject},"
-                f"{'na' if value is None else repr(value)}\r\n"
-                for rnd, event, node, subject, value in result.events]))
-
-        if jobs > 1 and runs > 1:
-            with get_context("fork").Pool(processes=min(jobs, runs)) as pool:
-                for run_idx, result in enumerate(pool.imap(_run_one, work)):
-                    consume(run_idx, result)
-        else:
-            for run_idx, item in enumerate(work):
-                consume(run_idx, _run_one(item))
-
-        stats = aggregate_runs(reports)
-        summary_row = [scenario_id(cfg), cfg.n_nodes, cfg.attacker_fraction * 100.0,
-                       cfg.attack.attack_type, cfg.detection.detection_enabled]
-        for key in ("detection_rate", "accuracy", "fpr", "fnr"):
-            mean, ci = stats[key]
-            summary_row.extend([mean, ci])
-        for key in ("precision", "recall", "f1",
-                    "clusters_total_mean", "clusters_attacker_free_mean"):
-            summary_row.append(stats[key][0])
-        summary_csv.write_text(_csv_line(summary_row))
-        for out in open_files:
-            out.commit()
-    except BaseException as exc:
-        # each report is replaced whole or not at all: a sweep that fails
-        # before the renames changes no report, but a failed rename leaves
-        # the reports renamed before it
-        for out in open_files:
-            out.discard()
-        if isinstance(exc, TraceError):
-            print(f"trace error: {exc}", file=sys.stderr)
-            return EXIT_TRACE
-        if isinstance(exc, OSError):
-            print(f"i/o error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        raise
+                stats = aggregate_runs(reports)
+                summary_row = [scenario_id(cfg), cfg.n_nodes, cfg.attacker_fraction * 100.0,
+                               cfg.attack.attack_type, cfg.detection.detection_enabled]
+                for key in ("detection_rate", "accuracy", "fpr", "fnr"):
+                    mean, ci = stats[key]
+                    summary_row.extend([mean, ci])
+                for key in ("precision", "recall", "f1",
+                            "clusters_total_mean", "clusters_attacker_free_mean"):
+                    summary_row.append(stats[key][0])
+                summary_csv.write(_csv_line(summary_row))
+            for src, (path, _) in zip(staged, targets):
+                os.replace(src, path)
+    except TraceError as exc:
+        print(f"trace error: {exc}", file=sys.stderr)
+        return EXIT_TRACE
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     return EXIT_OK
 
 

@@ -192,17 +192,6 @@ class WorldState:
         live[list(self.excluded | self.dead())] = False
         return live
 
-    def _note_blacklisted(self, observer: int, target: int) -> Optional[int]:
-        """Record that observer blacklists target and block target's slot
-        in observer's row; returns the slot, or None when they are not
-        adjacent."""
-        self.blacklisted_union.add(target)
-        k = self.slots.slot(observer, target)
-        if k is not None:
-            self.slots.blocked[observer, k] = True
-            self.slots.suspected[observer, k] = False
-        return k
-
 
 def _deliver_alert(world: WorldState, receiver: int, am: AlertMessage, rnd: int) -> bool:
     """Apply one alert at one node; returns True when it must be flooded.
@@ -218,9 +207,13 @@ def _deliver_alert(world: WorldState, receiver: int, am: AlertMessage, rnd: int)
     forward = handle_alert(blacklist, am, receiver in world.global_leaders, rnd)
     if am.attacker not in blacklist:
         return False  # alert failed validation; nothing applied
-    k = world._note_blacklisted(receiver, am.attacker)
+    world.blacklisted_union.add(am.attacker)
+    slots = world.slots
+    k = slots.slot(receiver, am.attacker)
     if k is not None:
-        world.slots.forget(np.array([receiver]), np.array([k]))
+        slots.blocked[receiver, k] = True
+        slots.suspected[receiver, k] = False
+        slots.forget(np.array([receiver]), np.array([k]))
     return forward
 
 
@@ -348,7 +341,11 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
             verdict, base, spread = _judge(b, slots.rec_x[lo:hi], cand, cfg.detection, slots,
                                            cthresh)
             event[cand] = verdict[cand]
-            b.seen[event == DETECTED] = NO_RECORD
+            # a conviction blocks its slot and drops its record and suspicion
+            convicted = event == DETECTED
+            b.seen[convicted] = NO_RECORD
+            slots.blocked[lo:hi] |= convicted
+            slots.suspected[lo:hi] &= ~convicted
         event[walk & ~b.suspected & ~b.verdict] = ADDED
         cells = np.flatnonzero(event)
         if cells.size:
@@ -463,7 +460,7 @@ def _apply_outcomes(world: WorldState, b: _Block, cells: np.ndarray, event: np.n
     for cell, i, j, x, what in zip(cells.tolist(), receivers, senders, readings, codes):
         if what == DETECTED:
             world.blacklists[i][j] = BlacklistEntry(rnd, i, x)
-            world._note_blacklisted(i, j)
+            world.blacklisted_union.add(j)
             world.detections.append(DetectionRecord(rnd, i, j, x, base.item(cell),
                                                     spread.item(cell)))
             fresh_alerts.append(AlertMessage(detector=i, attacker=j, attacker_reading=x))

@@ -326,6 +326,30 @@ def test_run_sweep_discards_temp_files_when_a_run_raises(tmp_path, monkeypatch):
     assert leftovers == ["raw"]
 
 
+def test_an_interrupted_sweep_changes_no_report(tmp_path, monkeypatch):
+    """A KeyboardInterrupt in the second run of a sweep over earlier
+    reports leaves those reports as they were and no staging entry."""
+    import fdisim.cli as cli
+    out = tmp_path / "out"
+    assert run_sweep(small_sweep_cfg(), runs=2, base_seed=1, out_dir=str(out)) == EXIT_OK
+    before = {name: (out / name).read_bytes() for name in REPORTS}
+    calls = []
+    real = cli.run_scenario
+
+    def second_run_interrupted(cfg):
+        calls.append(cfg.seed)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "run_scenario", second_run_interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(small_sweep_cfg(), runs=3, base_seed=5, out_dir=str(out))
+    assert calls == [5, 6]
+    assert {name: (out / name).read_bytes() for name in REPORTS} == before
+    assert not [p for d in (out, out / "raw") for p in os.listdir(d) if p.startswith(".tmp-")]
+
+
 def test_reports_get_the_mode_of_a_plain_new_file(tmp_path):
     """Not the owner-only mode of the temp files they are staged in."""
     old = os.umask(0o022)

@@ -182,29 +182,6 @@ def test_prune_ids_matches_full_scan():
     assert table.similar == fresh
 
 
-def _oracle_components(similar_sets, excluded):
-    """Brute-force mutual-edge components for cross-checking extract_clusters."""
-    nodes = [n for n in similar_sets if n not in excluded]
-    seen = set()
-    comps = []
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            u = frontier.pop()
-            for v in nodes:
-                if v in comp:
-                    continue
-                if v in similar_sets[u] and u in similar_sets[v]:
-                    comp.add(v)
-                    frontier.append(v)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return sorted((c for c in comps if len(c) >= 2), key=min)
-
-
 def extract(sets, n, rnd=0, excluded=frozenset()):
     """extract_clusters over a fresh graph holding the given similar sets."""
     return extract_clusters(similar_graph(sets, n), rnd, excluded=excluded)
@@ -249,7 +226,6 @@ def test_extract_clusters_matches_bruteforce_oracle():
         excluded = {i for i in range(n) if rng.random() < 0.15}
         snap = extract(sets, n, excluded=excluded)
         assert snap == bfs_clusters(sets, 0, excluded)
-        assert snap.clusters == _oracle_components(sets, excluded)
         # disjointness and min size
         seen = set()
         for members in snap.clusters:
@@ -258,12 +234,6 @@ def test_extract_clusters_matches_bruteforce_oracle():
             seen.update(members)
         for members, leads in zip(snap.clusters, snap.leaders):
             assert set(leads) <= set(members)
-
-
-def _oracle_leaders(similar_sets, cluster):
-    counts = {m: len(similar_sets[m] & set(cluster)) for m in cluster}
-    top = max(counts.values())
-    return tuple(sorted(m for m, c in counts.items() if c == top))
 
 
 @st.composite
@@ -286,10 +256,7 @@ def similarity_graphs(draw):
 def test_extract_clusters_property_matches_bruteforce(graph):
     sets, excluded, n = graph
     snap = extract(sets, n, 7, excluded=excluded)
-    expected = _oracle_components(sets, excluded)
     assert snap.round == 7
-    assert snap.clusters == expected
-    assert snap.leaders == [_oracle_leaders(sets, c) for c in expected]
     assert snap == bfs_clusters(sets, 7, excluded)
 
 
