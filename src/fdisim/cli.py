@@ -14,7 +14,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, get_type_hin
 
 from .attacks import ATTACK_TYPES
 from .engine import ConfigError, RunResult, ScenarioConfig, run_scenario
-from .metrics import ConfusionCounts, MetricsReport, aggregate_runs
+from .metrics import SUMMARY_METRICS, ConfusionCounts, MetricsReport, aggregate_runs
 from .sensing import TraceError
 
 EXIT_OK = 0
@@ -22,12 +22,9 @@ EXIT_CONFIG = 1
 EXIT_TRACE = 2
 EXIT_IO = 3
 
-SUMMARY_COLUMNS = [
-    "scenario_id", "n_nodes", "attacker_pct", "attack_type", "detection_enabled",
-    "dr_mean", "dr_ci", "acc_mean", "acc_ci", "fpr_mean", "fpr_ci", "fnr_mean", "fnr_ci",
-    "precision_mean", "recall_mean", "f1_mean",
-    "clusters_total_mean", "clusters_attacker_free_mean",
-]
+SUMMARY_COLUMNS = ["scenario_id", "n_nodes", "attacker_pct", "attack_type", "detection_enabled",
+                   *(col for _, stem, ci in SUMMARY_METRICS
+                     for col in (f"{stem}_mean", f"{stem}_ci")[:1 + ci])]
 TIMESERIES_COLUMNS = ["run", "round", "clusters_total", "clusters_attacker_free",
                       "blacklisted_count"]
 EVENTS_COLUMNS = ["run", "round", "event", "node", "subject", "value"]
@@ -190,12 +187,8 @@ def run_sweep(cfg: ScenarioConfig, runs: int, base_seed: int, out_dir: str,
                 stats = aggregate_runs(reports)
                 summary_row = [scenario_id(cfg), cfg.n_nodes, cfg.attacker_fraction * 100.0,
                                cfg.attack.attack_type, cfg.detection.detection_enabled]
-                for key in ("detection_rate", "accuracy", "fpr", "fnr"):
-                    mean, ci = stats[key]
-                    summary_row.extend([mean, ci])
-                for key in ("precision", "recall", "f1",
-                            "clusters_total_mean", "clusters_attacker_free_mean"):
-                    summary_row.append(stats[key][0])
+                for key, _, ci in SUMMARY_METRICS:
+                    summary_row.extend(stats[key][:1 + ci])
                 summary_csv.write(_csv_line(summary_row))
             for src, (path, _) in zip(staged, targets):
                 os.replace(src, path)

@@ -3,7 +3,6 @@ tables, leader election and per-round cluster extraction."""
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -179,6 +178,8 @@ class NeighborSlots(Mapping):
     receiver's running sums of aggregate * count and of count over its
     similar slots. ``rev[i, k]`` is the flat cell of i in the row of its
     k-th neighbor; a cell past i's degree maps to itself and is never flagged.
+    The first ``degree[i]`` cells of ``nbr[i]`` are the only copy of node i's
+    adjacency list.
 
     As a mapping it is the similarity graph, a live view: ``slots[i]`` is
     the similar set node i's flags hold when asked. It also keeps what
@@ -188,7 +189,6 @@ class NeighborSlots(Mapping):
 
     def __init__(self, adjacency: List[List[int]]) -> None:
         n = len(adjacency)
-        self.adjacency = adjacency
         self.degree = degree = np.fromiter(map(len, adjacency), dtype=np.intp, count=n)
         shape = (n, max(1, int(degree.max())))
         real = np.arange(shape[1]) < degree[:, None]
@@ -232,9 +232,9 @@ class NeighborSlots(Mapping):
 
     def slot(self, i: int, j: int) -> Optional[int]:
         """Node j's slot in node i's row, or None when they are not adjacent."""
-        neigh = self.adjacency[i]
-        k = bisect_left(neigh, j)
-        return k if k < len(neigh) and neigh[k] == j else None
+        neigh = self.nbr[i, :self.degree[i]]
+        k = int(neigh.searchsorted(j))
+        return k if k < neigh.size and neigh[k] == j else None
 
     def forget(self, rows: np.ndarray, cols: np.ndarray) -> None:
         """Forget the records in the given cells (blacklist purge,

@@ -266,12 +266,12 @@ def _solve(aw0, w0, own, x, a, c, old_a, old_c, prev, part, cthresh):
 
 class _Block:
     """Phase 2 of one round over the receiver rows from ``lo``: each slot's
-    message (``x``, ``a``, ``c``), which slots take part or are discarded,
-    the pass-start flags and suspicions, the solved verdicts and sums, and
-    the readings and last-seen rounds the records end the pass with."""
+    message (``x``, ``a``, ``c``), which slots take part, the pass-start
+    flags and suspicions (views of the slot arrays, which the block writes
+    only at its end) and the solved verdicts and sums."""
 
-    __slots__ = ("lo", "own", "nbr", "x", "a", "c", "prev", "part", "discarded",
-                 "suspected", "verdict", "cum_aw", "cum_w", "rec_x", "seen")
+    __slots__ = ("lo", "own", "nbr", "x", "a", "c", "prev", "part", "suspected",
+                 "verdict", "cum_aw", "cum_w")
 
 
 def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage], bool]:
@@ -321,44 +321,38 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
         heard = ~slots.blocked[lo:hi] & live[lo:hi, None]
         ok = valid[nbr]
         b.part = part = ok & heard
-        b.discarded = live[nbr] & ~ok & heard
         b.x, b.a, b.c = reading[nbr], aggregate[nbr], count[nbr]
-        b.prev = prev = slots.flag[lo:hi].copy()
-        b.suspected = slots.suspected[lo:hi].copy()
+        b.prev = slots.flag[lo:hi]
+        b.suspected = slots.suspected[lo:hi]
         b.verdict, b.cum_aw, b.cum_w = _solve(
             slots.sum_aw[lo:hi], slots.sum_w[lo:hi], b.own, b.x, b.a, b.c,
-            slots.rec_a[lo:hi], slots.rec_c[lo:hi], prev, part, cthresh)
+            slots.rec_a[lo:hi], slots.rec_c[lo:hi], b.prev, part, cthresh)
         world.total_interactions += int(np.count_nonzero(part))
-        b.rec_x = np.where(part, b.x, slots.rec_x[lo:hi])
-        b.seen = np.where(part, rnd, slots.seen[lo:hi])
         # what each slot logs: a discard, a new suspect, or a suspect's verdict
         walk = part & watch[lo:hi, None]
         cand = walk & b.suspected
         event = np.zeros(part.shape, dtype=np.int8)
-        event[b.discarded] = _DISCARDED
+        event[live[nbr] & ~ok & heard] = _DISCARDED
         base = spread = None
         if cand.any():
             verdict, base, spread = _judge(b, slots.rec_x[lo:hi], cand, cfg.detection, slots,
                                            cthresh)
             event[cand] = verdict[cand]
-            # a conviction blocks its slot and drops its record and suspicion
-            convicted = event == DETECTED
-            b.seen[convicted] = NO_RECORD
-            slots.blocked[lo:hi] |= convicted
-            slots.suspected[lo:hi] &= ~convicted
         event[walk & ~b.suspected & ~b.verdict] = ADDED
         cells = np.flatnonzero(event)
+        # the receivers keep the state their passes end with; a conviction
+        # blocks its slot and drops its record and suspicion
+        convicted = event == DETECTED
         if cells.size:
             _apply_outcomes(world, b, cells, event, base, spread, fresh_alerts)
-            slots.suspected[lo:hi] |= event == ADDED
-            slots.suspected[lo:hi] &= event != CLEARED
-        # the receivers keep the state their passes end with
-        flag = np.where(part, b.verdict, prev)
-        slots.flag[lo:hi] = flag
-        slots.rec_x[lo:hi] = b.rec_x
+            slots.blocked[lo:hi] |= convicted
+            slots.suspected[lo:hi] = ((b.suspected | (event == ADDED)) & ~convicted
+                                      & (event != CLEARED))
+        np.copyto(slots.flag[lo:hi], b.verdict, where=part)
+        np.copyto(slots.rec_x[lo:hi], b.x, where=part)
         np.copyto(slots.rec_a[lo:hi], b.a, where=part)
         np.copyto(slots.rec_c[lo:hi], b.c, where=part)
-        slots.seen[lo:hi] = b.seen
+        np.copyto(slots.seen[lo:hi], np.where(convicted, NO_RECORD, rnd), where=part)
         np.copyto(slots.sum_aw[lo:hi], b.cum_aw[:, -1], where=live[lo:hi])
         np.copyto(slots.sum_w[lo:hi], b.cum_w[:, -1], where=live[lo:hi])
     return fresh_alerts, not valid.all()
@@ -373,10 +367,11 @@ def _judge(b: _Block, old_x: np.ndarray, cand: np.ndarray, dcfg: DetectionConfig
     The consensus region of suspected slot k is the receiver's own reading,
     then the first ``consensus_region_cap`` slots eligible at k, in slot
     order: at or below k, similar after this round's message and read from
-    ``b.rec_x``; above k, similar last round and read from ``old_x`` (the
-    records as the round found them); in both cases not suspected. A
-    blacklisted slot holds no similar flag. The regions are gathered through
-    per-row counts of the eligible slots and their readings by rank.
+    the records the pass leaves; above k, similar last round and read from
+    ``old_x`` (the records as the round found them); in both cases not
+    suspected. A blacklisted slot holds no similar flag. The regions are
+    gathered through per-row counts of the eligible slots and their readings
+    by rank.
 
     Every suspected slot of the block is judged at once, as if its row's
     earlier suspects all stayed suspected. Only two verdicts break that: a
@@ -401,6 +396,7 @@ def _judge(b: _Block, old_x: np.ndarray, cand: np.ndarray, dcfg: DetectionConfig
     old_ranked = np.zeros(cand.shape)
     r, k = np.nonzero(old_ok)
     old_ranked[r, old_cnt[r, k] - 1] = old_x[r, k]
+    new_x = np.where(b.part, b.x, old_x)
     todo = cand
     while True:
         # and the first ones eligible this round, by rank
@@ -409,7 +405,7 @@ def _judge(b: _Block, old_x: np.ndarray, cand: np.ndarray, dcfg: DetectionConfig
         new_cnt = np.cumsum(new_ok, axis=1)
         new_ranked = np.zeros((rows_n, cap))
         r, k = np.nonzero(new_ok & (new_cnt <= cap))
-        new_ranked[r, new_cnt[r, k] - 1] = b.rec_x[r, k]
+        new_ranked[r, new_cnt[r, k] - 1] = new_x[r, k]
         rows, cols = np.nonzero(todo)
         before = new_cnt[rows, cols]
         n_new = np.minimum(before, cap)
@@ -537,7 +533,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     seed = cfg.seed
     place_rng = random.Random(f"{seed}/place")
     positions = place_nodes(cfg, place_rng)
-    adjacency = compute_adjacency(positions, cfg.tx_radius_m)
 
     if cfg.trace_path is not None:
         source = load_trace(cfg.trace_path)
@@ -555,7 +550,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     crash_rng = random.Random(f"{seed}/crash")
     crashed = set(crash_rng.sample(range(cfg.n_nodes), round(cfg.crash_fraction * cfg.n_nodes)))
 
-    world = WorldState(cfg, adjacency, ground_truth, source, crashed)
+    world = WorldState(cfg, compute_adjacency(positions, cfg.tx_radius_m), ground_truth,
+                       source, crashed)
     # overflowing readings turn sums to inf and nan, silently, as with floats
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.n_rounds):

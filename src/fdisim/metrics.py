@@ -110,11 +110,13 @@ def build_report(c: ConfusionCounts, availability: Sequence[Tuple[int, int, int]
     )
 
 
-# metric fields aggregated across seeds for the summary report
-AGGREGATE_KEYS = (
-    "detection_rate", "accuracy", "fpr", "fnr",
-    "precision", "recall", "f1",
-    "clusters_total_mean", "clusters_attacker_free_mean",
+# the metrics the summary report aggregates across seeds, in column order:
+# report field, column stem (stem_mean, then stem_ci) and whether a CI is written
+SUMMARY_METRICS = (
+    ("detection_rate", "dr", True), ("accuracy", "acc", True), ("fpr", "fpr", True),
+    ("fnr", "fnr", True), ("precision", "precision", False), ("recall", "recall", False),
+    ("f1", "f1", False), ("clusters_total_mean", "clusters_total", False),
+    ("clusters_attacker_free_mean", "clusters_attacker_free", False),
 )
 
 
@@ -131,7 +133,7 @@ def aggregate_runs(reports: Sequence[MetricsReport],
     """Per metric: mean and 95% CI half-width over the runs where the metric
     was defined; (None, None) when it never was."""
     out: Dict[str, Tuple[Optional[float], Optional[float]]] = {}
-    for key in AGGREGATE_KEYS:
+    for key, _, _ in SUMMARY_METRICS:
         values = [getattr(rp, key) for rp in reports if getattr(rp, key) is not None]
         out[key] = mean_ci(values) if values else (None, None)
     return out

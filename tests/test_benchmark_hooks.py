@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps names of ``fdisim.engine`` and ``fdisim.cli``
 by name (``perfbench/hooks.py``); a name it wraps that the package no longer
-has breaks the traced benchmark. Its untraced hooks sample the first
+has breaks the traced benchmark, and its trace check reads a reading table
+through ``reading``, ``n_rounds`` and ``n_nodes``. Its untraced hooks sample the first
 argument of ``extract_clusters`` as a mapping of similar sets, which its
 cluster check re-solves."""
 
@@ -10,6 +11,7 @@ from pathlib import Path
 import fdisim.cli as cli
 import fdisim.engine as engine
 from fdisim.engine import ScenarioConfig
+from fdisim.sensing import FieldConfig
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 HOOKS = PERFBENCH / "hooks.py"
@@ -30,6 +32,8 @@ def test_every_traced_name_exists():
     cli_names = set(hooks.CLI_TRACED) | {"get_context", "run_scenario", "_raw_row"}
     assert sorted(n for n in engine_names if not hasattr(engine, n)) == []
     assert sorted(n for n in cli_names if not hasattr(cli, n)) == []
+    table = engine.SynthField(FieldConfig(), [(0.0, 0.0), (5.0, 5.0)], 3, 1)
+    assert [n for n in ("reading", "n_rounds", "n_nodes") if not hasattr(table, n)] == []
 
 
 def test_untraced_hooks_sample_the_flags(tmp_path, monkeypatch):

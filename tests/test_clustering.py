@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdisim.clustering import (ClusterConfig, NeighborRecord, NeighborTable,
+from fdisim.clustering import (ClusterConfig, NeighborRecord, NeighborSlots, NeighborTable,
                                build_data_message, extract_clusters, handle_data_message,
                                is_similar, prune_ids)
 from fdisim.domain import DataMessage
+from fdisim.engine import compute_adjacency
 
 from conftest import bfs_clusters, elect_leaders, similar_graph, similar_table
 
@@ -298,6 +299,24 @@ def test_one_sided_flags_count_for_leaders_but_link_nothing():
     snap = extract(sets, 4)
     assert snap == bfs_clusters(sets, 0)
     assert snap.clusters == [(0, 1, 2)] and snap.leaders == [(0, 1)]
+
+
+def test_slot_is_the_index_in_the_adjacency_list():
+    """slot(i, j) is j's index in i's adjacency list; it is None for i
+    itself, for every other id below, between or above i's neighbors, and
+    for any j in the row of a node without neighbors. Rows shorter than the
+    widest are padded with node 0, which the search must not see."""
+    rng = random.Random(11)
+    positions = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(40)]
+    positions.append((500.0, 500.0))  # out of every other node's range
+    adjacency = compute_adjacency(positions, 30.0)
+    n = len(adjacency)
+    assert adjacency[-1] == []
+    assert any(0 not in neigh and len(neigh) < max(map(len, adjacency)) for neigh in adjacency)
+    slots = NeighborSlots(adjacency)
+    for i, neigh in enumerate(adjacency):
+        for j in range(n + 1):
+            assert slots.slot(i, j) == (neigh.index(j) if j in neigh else None), (i, j)
 
 
 def test_unchanged_flags_and_excluded_reuse_the_snapshot():
