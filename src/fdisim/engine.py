@@ -45,6 +45,8 @@ _DISCARDED = 4
 # the event a phase-2 slot logs, indexed by detection's codes and _DISCARDED
 _EVENT_NAMES = (None, EVENT_SUSPECT_CLEARED, EVENT_ATTACKER_DETECTED, EVENT_SUSPECT_ADDED,
                 EVENT_DM_DISCARDED)
+# the delta of a step that changes no sum; a bare -0.0 would be -0.0 + 0.0j
+_NO_DELTA = complex(-0.0, -0.0)
 
 
 class ConfigError(Exception):
@@ -217,6 +219,19 @@ def _deliver_alert(world: WorldState, receiver: int, am: AlertMessage, rnd: int)
     return forward
 
 
+def _similar(x, own, sums, close, cthresh):
+    """Verdicts of the messages ``x`` taken with the complex running ``sums``."""
+    return close & (np.abs(x - (own[:, None] + sums.real) / (1.0 + sums.imag)) < cthresh)
+
+
+def _refresh(out, kept, ac, c, old_a, old_c):
+    """Write each slot's refresh into the complex ``out``: the new a*c and c
+    less the old ones where a similar sender's message is taken in (``kept``),
+    -0.0 elsewhere."""
+    out.real = np.where(kept, ac - old_a * old_c, -0.0)
+    out.imag = np.where(kept, c - old_c, -0.0)
+
+
 def _solve(aw0, w0, own, x, a, c, old_a, old_c, prev, part, cthresh):
     """Similarity verdicts and running sums of sequential passes over rows
     of slots, each row a receiver with starting sums ``aw0`` and ``w0``.
@@ -224,44 +239,58 @@ def _solve(aw0, w0, own, x, a, c, old_a, old_c, prev, part, cthresh):
     At a slot that takes part (``part``) the pass first refreshes a sender
     that was similar (adding its new a*c minus its old one) and takes the
     verdict, then adds a*c to the sums if the sender enters the similar set
-    or subtracts it if it leaves. These two deltas per slot are laid out
-    along the row, -0.0 where the pass does nothing (x + -0.0 is x for
-    every double), and summed with ``np.cumsum``, a sequential add: the
-    same IEEE additions in the same order as a slot-by-slot loop. Only the
-    second delta depends on a verdict, so verdicts are guessed (last
-    round's flags first), recomputed from the sums and guessed again until
-    no guess changes. A row is exact up to its first wrong guess, whose
-    recomputed verdict is then right, so this ends within width + 1 rounds
-    of guessing.
+    or subtracts it if it leaves. The sums are one complex number, a*c in
+    the real part and c in the imaginary one (two separate IEEE additions
+    per step). These deltas are laid out along the row, -0.0 where the pass
+    does nothing (x + -0.0 is x for every double), and summed with
+    ``np.cumsum``, a sequential add: the same additions in the same order
+    as a slot-by-slot loop. Only the second delta depends on a verdict, so
+    verdicts are guessed (last round's flags first), recomputed from the
+    sums and guessed again until no guess changes. The first guess flips
+    nothing, so its pass sums only the start and the refresh deltas; a row
+    with a wrong first guess is solved again with both deltas of every slot
+    interleaved. A row is exact up to its first wrong guess, whose
+    recomputed verdict is then right, so this ends within width + 1 passes.
 
-    Returns the verdicts (meaningful where ``part``) and the cumulative sums:
-    column 2k + 1 holds the sums the verdict of slot k was taken with, and
-    column 2k + 2 the sums after slot k.
+    Returns the verdicts (meaningful where ``part``) and the sums: column 0
+    holds the start and column k + 1 the sums after slot k.
     """
     rows, width = x.shape
     ac = a * c
-    seq_aw = np.empty((rows, 2 * width + 1))
-    seq_w = np.empty((rows, 2 * width + 1))
-    seq_aw[:, 0] = aw0
-    seq_w[:, 0] = w0
     kept = part & prev
-    seq_aw[:, 1::2] = np.where(kept, ac - old_a * old_c, -0.0)
-    seq_w[:, 1::2] = np.where(kept, c - old_c, -0.0)
-    flip_aw = np.where(prev, -ac, ac)
-    flip_w = np.where(prev, -c, c)
     close = np.abs(own[:, None] - a) < cthresh
-    guess = prev
+    after = np.empty((rows, width + 1), dtype=complex)
+    after.real[:, 0] = aw0
+    after.imag[:, 0] = w0
+    _refresh(after[:, 1:], kept, ac, c, old_a, old_c)
+    np.cumsum(after, axis=1, out=after)
+    verdict = _similar(x, own, after[:, 1:], close, cthresh)
+    wrong = np.flatnonzero((part & (verdict != prev)).any(axis=1))
+    if not wrong.size:
+        return verdict, after
+    # the rows whose first guess failed, each guessed again from the last
+    # verdicts: rows are independent, so each gets what it would alone
+    x, own, close, part = x[wrong], own[wrong], close[wrong], part[wrong]
+    prev, ac, c = prev[wrong], ac[wrong], c[wrong]
+    start = after[wrong, 0]
+    refresh = np.empty((wrong.size, width), dtype=complex)
+    _refresh(refresh, kept[wrong], ac, c, old_a[wrong], old_c[wrong])
+    flip = np.empty_like(refresh)
+    flip.real = np.where(prev, -ac, ac)
+    flip.imag = np.where(prev, -c, c)
+    seq = np.empty((wrong.size, 2 * width + 1), dtype=complex)
+    guess = verdict[wrong]
     while True:
-        flips = part & (guess != prev)
-        seq_aw[:, 2::2] = np.where(flips, flip_aw, -0.0)
-        seq_w[:, 2::2] = np.where(flips, flip_w, -0.0)
-        cum_aw = np.cumsum(seq_aw, axis=1)
-        cum_w = np.cumsum(seq_w, axis=1)
-        verdict = np.abs(x - (own[:, None] + cum_aw[:, 1::2]) / (1.0 + cum_w[:, 1::2])) < cthresh
-        verdict &= close
-        if not (part & (verdict != guess)).any():
-            return verdict, cum_aw, cum_w
-        guess = verdict
+        seq[:, 0] = start
+        seq[:, 1::2] = refresh
+        seq[:, 2::2] = np.where(part & (guess != prev), flip, _NO_DELTA)
+        np.cumsum(seq, axis=1, out=seq)
+        redo = _similar(x, own, seq[:, 1::2], close, cthresh)
+        if not (part & (redo != guess)).any():
+            verdict[wrong] = redo
+            after[wrong] = seq[:, ::2]
+            return verdict, after
+        guess = redo
 
 
 class _Block:
@@ -271,7 +300,7 @@ class _Block:
     only at its end) and the solved verdicts and sums."""
 
     __slots__ = ("lo", "own", "nbr", "x", "a", "c", "prev", "part", "suspected",
-                 "verdict", "cum_aw", "cum_w")
+                 "verdict", "after")
 
 
 def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage], bool]:
@@ -324,7 +353,7 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
         b.x, b.a, b.c = reading[nbr], aggregate[nbr], count[nbr]
         b.prev = slots.flag[lo:hi]
         b.suspected = slots.suspected[lo:hi]
-        b.verdict, b.cum_aw, b.cum_w = _solve(
+        b.verdict, b.after = _solve(
             slots.sum_aw[lo:hi], slots.sum_w[lo:hi], b.own, b.x, b.a, b.c,
             slots.rec_a[lo:hi], slots.rec_c[lo:hi], b.prev, part, cthresh)
         world.total_interactions += int(np.count_nonzero(part))
@@ -342,19 +371,20 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
         cells = np.flatnonzero(event)
         # the receivers keep the state their passes end with; a conviction
         # blocks its slot and drops its record and suspicion
-        convicted = event == DETECTED
+        slots.seen[lo:hi][part] = rnd
         if cells.size:
+            convicted = event == DETECTED
             _apply_outcomes(world, b, cells, event, base, spread, fresh_alerts)
             slots.blocked[lo:hi] |= convicted
             slots.suspected[lo:hi] = ((b.suspected | (event == ADDED)) & ~convicted
                                       & (event != CLEARED))
+            slots.seen[lo:hi][convicted] = NO_RECORD
         np.copyto(slots.flag[lo:hi], b.verdict, where=part)
         np.copyto(slots.rec_x[lo:hi], b.x, where=part)
         np.copyto(slots.rec_a[lo:hi], b.a, where=part)
         np.copyto(slots.rec_c[lo:hi], b.c, where=part)
-        np.copyto(slots.seen[lo:hi], np.where(convicted, NO_RECORD, rnd), where=part)
-        np.copyto(slots.sum_aw[lo:hi], b.cum_aw[:, -1], where=live[lo:hi])
-        np.copyto(slots.sum_w[lo:hi], b.cum_w[:, -1], where=live[lo:hi])
+        np.copyto(slots.sum_aw[lo:hi], b.after.real[:, -1], where=live[lo:hi])
+        np.copyto(slots.sum_w[lo:hi], b.after.imag[:, -1], where=live[lo:hi])
     return fresh_alerts, not valid.all()
 
 
@@ -467,14 +497,13 @@ def _solve_rest(b: _Block, r: int, k: int, slots: NeighborSlots, cthresh: float)
     similar: its a*c leaves the sums after the slot."""
     i = b.lo + r
     s = k + 1
-    v, cum_aw, cum_w = _solve(b.cum_aw[r, 2 * k + 2] - b.a[r, k] * b.c[r, k],
-                              b.cum_w[r, 2 * k + 2] - b.c[r, k], b.own[r:r + 1],
-                              b.x[r:r + 1, s:], b.a[r:r + 1, s:], b.c[r:r + 1, s:],
-                              slots.rec_a[i:i + 1, s:], slots.rec_c[i:i + 1, s:],
-                              b.prev[r:r + 1, s:], b.part[r:r + 1, s:], cthresh)
+    at = b.after[r, s]
+    v, after = _solve(at.real - b.a[r, k] * b.c[r, k], at.imag - b.c[r, k], b.own[r:r + 1],
+                      b.x[r:r + 1, s:], b.a[r:r + 1, s:], b.c[r:r + 1, s:],
+                      slots.rec_a[i:i + 1, s:], slots.rec_c[i:i + 1, s:],
+                      b.prev[r:r + 1, s:], b.part[r:r + 1, s:], cthresh)
     b.verdict[r, s:] = v[0]
-    b.cum_aw[r, 2 * s:] = cum_aw[0]
-    b.cum_w[r, 2 * s:] = cum_w[0]
+    b.after[r, s:] = after[0]
 
 
 def run_round(world: WorldState, cfg: ScenarioConfig) -> None:

@@ -52,16 +52,18 @@ def solve_rows(rows, cthresh=CTHRESH):
 
 
 def check_rows(rows, cthresh=CTHRESH):
-    verdict, cum_aw, cum_w = solve_rows(rows, cthresh)
+    # sums that overflow turn to inf and nan, as in a run
+    with np.errstate(over="ignore", invalid="ignore"):
+        verdict, after = solve_rows(rows, cthresh)
     for r, (aw0, w0, own, slots) in enumerate(rows):
-        flags, after = slot_loop(cthresh, aw0, w0, own, *zip(*slots)) if slots else ([], [])
+        flags, sums = slot_loop(cthresh, aw0, w0, own, *zip(*slots)) if slots else ([], [])
         prev = [slot[5] for slot in slots]
         part = [slot[6] for slot in slots]
         assert [bool(v) if p else q for v, p, q in zip(verdict[r], part, prev)] == flags
-        for k, (sum_aw, sum_w) in enumerate(after):
-            assert bits(cum_aw[r, 2 * k + 2]) == bits(sum_aw)
-            assert bits(cum_w[r, 2 * k + 2]) == bits(sum_w)
-        assert bits(cum_aw[r, -1]) == bits(after[-1][0] if after else aw0)
+        for k, (sum_aw, sum_w) in enumerate(sums):
+            assert bits(after[r, k + 1].real) == bits(sum_aw)
+            assert bits(after[r, k + 1].imag) == bits(sum_w)
+        assert bits(after[r, -1].real) == bits(sums[-1][0] if sums else aw0)
 
 
 # a slot: this round's message (reading, aggregate, count) and the record
@@ -80,6 +82,14 @@ absent = st.tuples(readings, st.floats(min_value=10.0, max_value=22.0), st.integ
 # a sum of -0.0 stays -0.0 through slots that change nothing
 @example([(-0.0, 50.0, 16.0, [(16.0, 16.0, 1, 0.0, 0, False, False),
                               (30.0, 16.0, 1, 0.0, 0, False, True)])])
+# and so do both sums of a row that is solved again
+@example([(-0.0, -0.0, 16.0, [(16.0, 16.0, 1, 0.0, 0, False, False),
+                              (16.0, 16.0, 1, 0.0, 0, False, True)])])
+# a refresh overflows the sum to inf, the sender leaves it (inf - inf is nan),
+# and the nan runs on through the later slots
+@example([(1.5e308, 50.0, 16.0, [(16.0, 1e308, 8, 16.0, 1, True, True),
+                                 (16.0, 16.0, 1, 16.0, 1, True, True),
+                                 (16.0, 16.0, 1, 0.0, 0, False, True)])])
 @given(st.integers(0, 14).flatmap(lambda width: st.lists(
     st.tuples(st.floats(min_value=-1e3, max_value=1e3), st.integers(40, 60).map(float),
               st.floats(min_value=12.0, max_value=20.0),
@@ -89,11 +99,10 @@ def test_solve_matches_the_slot_loop(rows):
     check_rows(rows)
 
 
-def test_every_first_guess_wrong_takes_width_plus_one_iterations(monkeypatch):
-    """Slot m turns similar only once the m slots before it have entered the
-    similar set, and no slot was similar last round: each iteration fixes
-    exactly one more slot, and one more confirms the row."""
-    width, own, agg, cthresh = 10, 0.0, 9.0, 10.0
+def staircase(width, cthresh):
+    """A row in which slot m turns similar only once the m slots before it
+    have entered the similar set, and no slot was similar last round."""
+    own, agg = 0.0, 9.0
     slots, sum_aw, sum_w = [], 0.0, 0.0
     for _ in range(width):
         mean = (own + sum_aw) / (1.0 + sum_w)
@@ -101,11 +110,44 @@ def test_every_first_guess_wrong_takes_width_plus_one_iterations(monkeypatch):
         slots.append((mean + cthresh - 0.01, agg, 1, 0.0, 0, False, True))
         sum_aw += agg * 1
         sum_w += 1
-    rows = [(0.0, 0.0, own, slots)]
-    check_rows(rows, cthresh)
+    return (0.0, 0.0, own, slots)
+
+
+def count_cumsums(monkeypatch):
     calls = []
     cumsum = np.cumsum
     monkeypatch.setattr(np, "cumsum", lambda *a, **kw: calls.append(1) or cumsum(*a, **kw))
+    return calls
+
+
+def test_every_first_guess_wrong_takes_width_plus_one_iterations(monkeypatch):
+    """In the staircase row each iteration fixes exactly one more slot, and
+    one more confirms the row."""
+    width, cthresh = 10, 10.0
+    rows = [staircase(width, cthresh)]
+    check_rows(rows, cthresh)
+    calls = count_cumsums(monkeypatch)
     verdict = solve_rows(rows, cthresh)[0]
     assert verdict.all()
-    assert len(calls) == 2 * (width + 1)
+    assert len(calls) == width + 1
+
+
+def test_rows_solved_again_come_out_as_alone(monkeypatch):
+    """Staircase rows share a block with rows whose first guess holds (every
+    sender stays similar, or stays dissimilar): only the staircase rows are
+    solved again, and every row comes out bit for bit as it does alone."""
+    width, cthresh = 10, 10.0
+    stay_similar = (7.0 * width, 1.0 * width, 7.0, [(7.0, 7.0, 1, 7.0, 1, True, True)] * width)
+    stay_apart = (0.0, 0.0, 7.0, [(40.0, 7.0, 1, 0.0, 0, False, True)] * width)
+    rows = [staircase(width, cthresh), stay_similar, stay_apart, staircase(width, cthresh)]
+    check_rows(rows, cthresh)
+    calls = count_cumsums(monkeypatch)
+    verdict, after = solve_rows(rows, cthresh)
+    assert len(calls) == width + 1
+    assert verdict[[0, 1, 3]].all() and not verdict[2].any()
+    for r, row in enumerate(rows):
+        calls.clear()
+        alone_verdict, alone_after = solve_rows([row], cthresh)
+        assert len(calls) == (width + 1 if r in (0, 3) else 1)
+        assert (verdict[r] == alone_verdict[0]).all()
+        assert after[r].tobytes() == alone_after[0].tobytes()

@@ -13,7 +13,10 @@ file's ``run_seconds``; the parent runs first on even pairs and the change
 on odd ones. A run's value for a metric is the benchmark's own median over
 its sweeps. Per side, the file gives the median and the quartiles
 (inclusive method) of those values, the exit status of every run, and per
-metric the number of pairs in which the change was better. A run that
+metric the number of pairs in which the change was better. Beside the
+relative change of the medians it gives the median of the per-pair
+change/parent ratios, which drift that moves both runs of a pair alike
+leaves alone. A run that
 exits non-zero or prints no result stops the tool with an error.
 ``--traced-seed`` adds one ``--trace 1`` run per side and workload. The
 file is rewritten after every pair, so an interrupted session keeps what
@@ -69,10 +72,12 @@ def compare(parent: List[float], change: List[float], better: str) -> dict:
     wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     ties = sum(c == p for p, c in zip(parent, change))
     p_med = statistics.median(parent)
+    ratios = [c / p for p, c in zip(parent, change) if p]
     return {
         "parent": side_stats(parent),
         "change": side_stats(change),
         "relative_change": round((statistics.median(change) - p_med) / p_med, 4) if p_med else None,
+        "median_pair_ratio": round(statistics.median(ratios), 4) if ratios else None,
         "change_better_in_pairs": wins,
         "ties": ties,
         "parent_runs": [_sig(v) for v in parent],
