@@ -78,6 +78,13 @@ absent = st.tuples(readings, st.floats(min_value=10.0, max_value=22.0), st.integ
                    st.just(0.0), st.just(0), st.just(False), st.booleans())
 
 
+# a refresh overflows the sum to inf, the sender leaves it (inf - inf is nan),
+# and the nan runs on through the later slots
+OVERFLOW_ROW = (1.5e308, 50.0, 16.0, [(16.0, 1e308, 8, 16.0, 1, True, True),
+                                      (16.0, 16.0, 1, 16.0, 1, True, True),
+                                      (16.0, 16.0, 1, 0.0, 0, False, True)])
+
+
 @settings(max_examples=300, deadline=None)
 # a sum of -0.0 stays -0.0 through slots that change nothing
 @example([(-0.0, 50.0, 16.0, [(16.0, 16.0, 1, 0.0, 0, False, False),
@@ -85,11 +92,7 @@ absent = st.tuples(readings, st.floats(min_value=10.0, max_value=22.0), st.integ
 # and so do both sums of a row that is solved again
 @example([(-0.0, -0.0, 16.0, [(16.0, 16.0, 1, 0.0, 0, False, False),
                               (16.0, 16.0, 1, 0.0, 0, False, True)])])
-# a refresh overflows the sum to inf, the sender leaves it (inf - inf is nan),
-# and the nan runs on through the later slots
-@example([(1.5e308, 50.0, 16.0, [(16.0, 1e308, 8, 16.0, 1, True, True),
-                                 (16.0, 16.0, 1, 16.0, 1, True, True),
-                                 (16.0, 16.0, 1, 0.0, 0, False, True)])])
+@example([OVERFLOW_ROW])
 @given(st.integers(0, 14).flatmap(lambda width: st.lists(
     st.tuples(st.floats(min_value=-1e3, max_value=1e3), st.integers(40, 60).map(float),
               st.floats(min_value=12.0, max_value=20.0),
@@ -151,3 +154,14 @@ def test_rows_solved_again_come_out_as_alone(monkeypatch):
         assert len(calls) == (width + 1 if r in (0, 3) else 1)
         assert (verdict[r] == alone_verdict[0]).all()
         assert after[r].tobytes() == alone_after[0].tobytes()
+
+
+def test_overflowing_sums_run_on_as_nan(monkeypatch):
+    """The overflow example does reach nan, in the second solve of its row,
+    and the nan stays in the sums to the row's end."""
+    calls = count_cumsums(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        verdict, after = solve_rows([OVERFLOW_ROW])
+    assert len(calls) == 2
+    assert not verdict.any()
+    assert np.isnan(after[0, 1:].real).all()

@@ -16,11 +16,10 @@ its sweeps. Per side, the file gives the median and the quartiles
 metric the number of pairs in which the change was better. Beside the
 relative change of the medians it gives the median of the per-pair
 change/parent ratios, which drift that moves both runs of a pair alike
-leaves alone. A run that
-exits non-zero or prints no result stops the tool with an error.
-``--traced-seed`` adds one ``--trace 1`` run per side and workload. The
-file is rewritten after every pair, so an interrupted session keeps what
-it measured.
+leaves alone. A run that exits non-zero or prints no result stops the
+tool with an error. ``--traced-seed`` adds one ``--trace 1`` run per side
+and workload. The file is rewritten after every pair, so an interrupted
+session keeps what it measured.
 """
 
 from __future__ import annotations
