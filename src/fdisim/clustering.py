@@ -165,21 +165,20 @@ class ClusterSnapshot:
         return out
 
 
-# last-seen round of a slot that holds no record
-NO_RECORD = -1
-
-
 class NeighborSlots(Mapping):
     """Every receiver's neighbor state, as ``(n, maxdeg)`` arrays indexed by
     adjacency slot: slot k of row i holds node i's k-th lowest neighbor
-    ``nbr[i, k]``, its record (``rec_x``, ``rec_a``, ``rec_c`` and ``seen``:
-    reading, aggregate, count and last-seen round), the similar flag, and
-    whether i blacklists or suspects it. ``sum_aw`` and ``sum_w`` are each
-    receiver's running sums of aggregate * count and of count over its
-    similar slots. ``rev[i, k]`` is the flat cell of i in the row of its
-    k-th neighbor; a cell past i's degree maps to itself and is never flagged.
-    The first ``degree[i]`` cells of ``nbr[i]`` are the only copy of node i's
-    adjacency list.
+    ``nbr[i, k]``, the similar flag, and whether i blacklists or suspects
+    it. ``sum_aw`` and ``sum_w`` are each receiver's running sums of
+    aggregate * count and of count over its similar slots. ``rev[i, k]`` is
+    the flat cell of i in the row of its k-th neighbor; a cell past i's
+    degree maps to itself and is never flagged. The first ``degree[i]``
+    cells of ``nbr[i]`` are the only copy of node i's adjacency list.
+    Records are held once, by sender: ``last_x``, ``last_ac``, ``last_c``
+    and ``last_round`` are node j's last valid message (reading, aggregate
+    * count, count) and its round. A live receiver takes every valid
+    message of every sender it does not block, so that is its record of
+    each similar sender; no other record is read.
 
     As a mapping it is the similarity graph, a live view: ``slots[i]`` is
     the similar set node i's flags hold when asked. It also keeps what
@@ -204,16 +203,16 @@ class NeighborSlots(Mapping):
                             kind="stable")
         self.rev = np.arange(real.size).reshape(shape)
         np.put(self.rev, cells[by_nbr], cells)
-        self.rec_x = np.zeros(shape)
-        self.rec_a = np.zeros(shape)
-        self.rec_c = np.zeros(shape)
-        self.seen = np.full(shape, NO_RECORD, dtype=np.int32)
         self.flag = np.zeros(shape, dtype=bool)
         # slots past a node's degree are blocked, so they never take a message
         self.blocked = ~real
         self.suspected = np.zeros(shape, dtype=bool)
         self.sum_aw = np.zeros(n)
         self.sum_w = np.zeros(n)
+        self.last_x = np.zeros(n)
+        self.last_ac = np.zeros(n)
+        self.last_c = np.zeros(n)
+        self.last_round = np.zeros(n, dtype=np.int32)
         self.upper = self.nbr > np.arange(n)[:, None]  # slots whose edge runs to a larger id
         self.label = np.arange(n)
         self.solved: Optional[Tuple[np.ndarray, FrozenSet[int], ClusterSnapshot]] = None
@@ -237,16 +236,16 @@ class NeighborSlots(Mapping):
         return k if k < neigh.size and neigh[k] == j else None
 
     def forget(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Forget the records in the given cells (blacklist purge,
-        staleness). A similar one leaves its receiver's sums, subtracted
-        one cell at a time in the order given."""
+        """Forget the senders in the given cells (blacklist purge,
+        staleness). A similar one leaves its receiver's sums, its a*c and c
+        subtracted one cell at a time in the order given."""
         similar = self.flag[rows, cols]
         if similar.any():
             r, k = rows[similar], cols[similar]
-            np.subtract.at(self.sum_aw, r, self.rec_a[r, k] * self.rec_c[r, k])
-            np.subtract.at(self.sum_w, r, self.rec_c[r, k])
+            j = self.nbr[r, k]
+            np.subtract.at(self.sum_aw, r, self.last_ac[j])
+            np.subtract.at(self.sum_w, r, self.last_c[j])
         self.flag[rows, cols] = False
-        self.seen[rows, cols] = NO_RECORD
 
     def leaders_of(self, node: int) -> Tuple[int, ...]:
         """The leaders of node's cluster in the last snapshot extracted from

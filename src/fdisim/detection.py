@@ -115,21 +115,18 @@ def process_suspect(state, sender: int, reading: float, region: Optional[List[fl
     return code, alert, base.item(), combined.item()
 
 
-def handle_alert(blacklist: Dict[int, BlacklistEntry], am: AlertMessage, is_leader: bool,
-                 rnd: int) -> bool:
+def handle_alert(blacklist: Dict[int, BlacklistEntry], am: AlertMessage, rnd: int) -> bool:
     """Apply an alert to one node's blacklist.
 
     The attacker is blacklisted; the caller drops it from the suspects and
-    forgets its neighbor record. Returns True when the receiving node is a
-    leader and the entry was new, i.e. the alert should go out on the leader
-    overlay; duplicates change nothing and are never re-forwarded.
+    forgets its neighbor record. Returns True when the entry was new: a
+    leader then forwards the alert on the leader overlay. Invalid alerts
+    and duplicates change nothing and return False.
     """
-    if not validate_alert_message(am):
-        return False
-    if am.attacker in blacklist:
+    if not validate_alert_message(am) or am.attacker in blacklist:
         return False
     blacklist[am.attacker] = BlacklistEntry(rnd, am.detector, am.attacker_reading)
-    return is_leader
+    return True
 
 
 def build_consensus_region(state, own_reading: float, similar: Iterable[Tuple[int, float]],

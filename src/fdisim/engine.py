@@ -20,8 +20,8 @@ from .attacks import AttackConfig, GroundTruth, attack_is_active, forge_reading,
 # process_suspect, prune_ids, transition_label and validate_data_message are
 # not called here; the names stay imported because the benchmark's tracing
 # wraps them in this namespace by name
-from .clustering import (NO_RECORD, ClusterConfig, ClusterSnapshot, NeighborSlots,
-                         build_data_message, extract_clusters, handle_data_message, prune_ids)
+from .clustering import (ClusterConfig, ClusterSnapshot, NeighborSlots, build_data_message,
+                         extract_clusters, handle_data_message, prune_ids)
 from .detection import (ADDED, CLEARED, DETECTED, BlacklistEntry, DetectionConfig,
                         build_consensus_region, consensus_verdicts, handle_alert,
                         process_suspect)
@@ -158,9 +158,9 @@ def compute_adjacency(positions: Sequence[Tuple[float, float]],
 
 
 class WorldState:
-    """Everything one run mutates, round by round. A node's neighbor
-    records, similar flags and suspects live in its row of the slot arrays;
-    ``blacklists[i]`` holds node i's blacklist entries."""
+    """Everything one run mutates, round by round. A node's similar flags
+    and suspects live in its row of the slot arrays, its last message in
+    their per-sender arrays; ``blacklists[i]`` holds its blacklist entries."""
 
     def __init__(self, cfg: ScenarioConfig, adjacency, ground_truth: GroundTruth,
                  source, crashed: Set[int]) -> None:
@@ -196,27 +196,21 @@ class WorldState:
 
 
 def _deliver_alert(world: WorldState, receiver: int, am: AlertMessage, rnd: int) -> bool:
-    """Apply one alert at one node; returns True when it must be flooded.
-
-    A crashed node takes no alert: the leader lists come from the previous
-    round's snapshot and can still name it in its crash round. The receiver
-    forgets the attacker's record; a conviction's is forgotten by the
-    phase-2 block's write-back instead.
-    """
-    blacklist = world.blacklists[receiver]
-    if am.attacker in blacklist or receiver in world.dead():
+    """Apply one alert at a leader of the last snapshot, about an attacker
+    already in ``blacklisted_union``; returns True when the entry is new,
+    so the leader floods it. A crashed node takes no alert: the leader
+    lists can still name it in its crash round. The receiver blocks and
+    forgets the attacker's slot; a conviction's is blocked by the phase-2
+    block's write-back instead."""
+    if receiver in world.dead() or not handle_alert(world.blacklists[receiver], am, rnd):
         return False
-    forward = handle_alert(blacklist, am, receiver in world.global_leaders, rnd)
-    if am.attacker not in blacklist:
-        return False  # alert failed validation; nothing applied
-    world.blacklisted_union.add(am.attacker)
     slots = world.slots
     k = slots.slot(receiver, am.attacker)
     if k is not None:
         slots.blocked[receiver, k] = True
         slots.suspected[receiver, k] = False
         slots.forget(np.array([receiver]), np.array([k]))
-    return forward
+    return True
 
 
 def _similar(x, own, sums, close, cthresh):
@@ -224,15 +218,15 @@ def _similar(x, own, sums, close, cthresh):
     return close & (np.abs(x - (own[:, None] + sums.real) / (1.0 + sums.imag)) < cthresh)
 
 
-def _refresh(out, kept, ac, c, old_a, old_c):
+def _refresh(out, kept, ac, c, old_ac, old_c):
     """Write each slot's refresh into the complex ``out``: the new a*c and c
     less the old ones where a similar sender's message is taken in (``kept``),
     -0.0 elsewhere."""
-    out.real = np.where(kept, ac - old_a * old_c, -0.0)
+    out.real = np.where(kept, ac - old_ac, -0.0)
     out.imag = np.where(kept, c - old_c, -0.0)
 
 
-def _solve(aw0, w0, own, x, a, c, old_a, old_c, prev, part, cthresh):
+def _solve(aw0, w0, own, x, a, c, old_ac, old_c, prev, part, cthresh):
     """Similarity verdicts and running sums of sequential passes over rows
     of slots, each row a receiver with starting sums ``aw0`` and ``w0``.
 
@@ -262,7 +256,7 @@ def _solve(aw0, w0, own, x, a, c, old_a, old_c, prev, part, cthresh):
     after = np.empty((rows, width + 1), dtype=complex)
     after.real[:, 0] = aw0
     after.imag[:, 0] = w0
-    _refresh(after[:, 1:], kept, ac, c, old_a, old_c)
+    _refresh(after[:, 1:], kept, ac, c, old_ac, old_c)
     np.cumsum(after, axis=1, out=after)
     verdict = _similar(x, own, after[:, 1:], close, cthresh)
     wrong = np.flatnonzero((part & (verdict != prev)).any(axis=1))
@@ -274,7 +268,7 @@ def _solve(aw0, w0, own, x, a, c, old_a, old_c, prev, part, cthresh):
     prev, ac, c = prev[wrong], ac[wrong], c[wrong]
     start = after[wrong, 0]
     refresh = np.empty((wrong.size, width), dtype=complex)
-    _refresh(refresh, kept[wrong], ac, c, old_a[wrong], old_c[wrong])
+    _refresh(refresh, kept[wrong], ac, c, old_ac[wrong], old_c[wrong])
     flip = np.empty_like(refresh)
     flip.real = np.where(prev, -ac, ac)
     flip.imag = np.where(prev, -c, c)
@@ -355,7 +349,7 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
         b.suspected = slots.suspected[lo:hi]
         b.verdict, b.after = _solve(
             slots.sum_aw[lo:hi], slots.sum_w[lo:hi], b.own, b.x, b.a, b.c,
-            slots.rec_a[lo:hi], slots.rec_c[lo:hi], b.prev, part, cthresh)
+            slots.last_ac[nbr], slots.last_c[nbr], b.prev, part, cthresh)
         world.total_interactions += int(np.count_nonzero(part))
         # what each slot logs: a discard, a new suspect, or a suspect's verdict
         walk = part & watch[lo:hi, None]
@@ -364,32 +358,31 @@ def _exchange(world: WorldState, cfg: ScenarioConfig) -> Tuple[List[AlertMessage
         event[live[nbr] & ~ok & heard] = _DISCARDED
         base = spread = None
         if cand.any():
-            verdict, base, spread = _judge(b, slots.rec_x[lo:hi], cand, cfg.detection, slots,
-                                           cthresh)
+            verdict, base, spread = _judge(b, cand, cfg.detection, slots, cthresh)
             event[cand] = verdict[cand]
         event[walk & ~b.suspected & ~b.verdict] = ADDED
         cells = np.flatnonzero(event)
         # the receivers keep the state their passes end with; a conviction
-        # blocks its slot and drops its record and suspicion
-        slots.seen[lo:hi][part] = rnd
+        # blocks its slot and drops its suspicion
         if cells.size:
             convicted = event == DETECTED
             _apply_outcomes(world, b, cells, event, base, spread, fresh_alerts)
             slots.blocked[lo:hi] |= convicted
             slots.suspected[lo:hi] = ((b.suspected | (event == ADDED)) & ~convicted
                                       & (event != CLEARED))
-            slots.seen[lo:hi][convicted] = NO_RECORD
         np.copyto(slots.flag[lo:hi], b.verdict, where=part)
-        np.copyto(slots.rec_x[lo:hi], b.x, where=part)
-        np.copyto(slots.rec_a[lo:hi], b.a, where=part)
-        np.copyto(slots.rec_c[lo:hi], b.c, where=part)
         np.copyto(slots.sum_aw[lo:hi], b.after.real[:, -1], where=live[lo:hi])
         np.copyto(slots.sum_w[lo:hi], b.after.imag[:, -1], where=live[lo:hi])
+    # every block has read the records as the round found them
+    np.copyto(slots.last_x, reading, where=valid)
+    np.copyto(slots.last_ac, aggregate * count, where=valid)
+    np.copyto(slots.last_c, count, where=valid)
+    slots.last_round[valid] = rnd
     return fresh_alerts, not valid.all()
 
 
-def _judge(b: _Block, old_x: np.ndarray, cand: np.ndarray, dcfg: DetectionConfig,
-           slots: NeighborSlots, cthresh: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _judge(b: _Block, cand: np.ndarray, dcfg: DetectionConfig, slots: NeighborSlots,
+           cthresh: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Verdict codes, region spreads and combined spreads (by cell) of the
     suspected senders in ``cand``, each judged as a slot-by-slot pass would
     judge it at its slot.
@@ -398,10 +391,10 @@ def _judge(b: _Block, old_x: np.ndarray, cand: np.ndarray, dcfg: DetectionConfig
     then the first ``consensus_region_cap`` slots eligible at k, in slot
     order: at or below k, similar after this round's message and read from
     the records the pass leaves; above k, similar last round and read from
-    ``old_x`` (the records as the round found them); in both cases not
-    suspected. A blacklisted slot holds no similar flag. The regions are
-    gathered through per-row counts of the eligible slots and their readings
-    by rank.
+    ``slots.last_x`` (each sender's reading as the round found it); in both
+    cases not suspected. A blacklisted slot holds no similar flag. The
+    regions are gathered through per-row counts of the eligible slots and
+    their readings by rank, each reading taken only where it is eligible.
 
     Every suspected slot of the block is judged at once, as if its row's
     earlier suspects all stayed suspected. Only two verdicts break that: a
@@ -424,9 +417,9 @@ def _judge(b: _Block, old_x: np.ndarray, cand: np.ndarray, dcfg: DetectionConfig
     old_ok = b.prev & ~b.suspected
     old_cnt = np.cumsum(old_ok, axis=1)
     old_ranked = np.zeros(cand.shape)
+    old_x = slots.last_x
     r, k = np.nonzero(old_ok)
-    old_ranked[r, old_cnt[r, k] - 1] = old_x[r, k]
-    new_x = np.where(b.part, b.x, old_x)
+    old_ranked[r, old_cnt[r, k] - 1] = old_x[b.nbr[r, k]]
     todo = cand
     while True:
         # and the first ones eligible this round, by rank
@@ -435,7 +428,7 @@ def _judge(b: _Block, old_x: np.ndarray, cand: np.ndarray, dcfg: DetectionConfig
         new_cnt = np.cumsum(new_ok, axis=1)
         new_ranked = np.zeros((rows_n, cap))
         r, k = np.nonzero(new_ok & (new_cnt <= cap))
-        new_ranked[r, new_cnt[r, k] - 1] = new_x[r, k]
+        new_ranked[r, new_cnt[r, k] - 1] = np.where(b.part[r, k], b.x[r, k], old_x[b.nbr[r, k]])
         rows, cols = np.nonzero(todo)
         before = new_cnt[rows, cols]
         n_new = np.minimum(before, cap)
@@ -495,12 +488,12 @@ def _apply_outcomes(world: WorldState, b: _Block, cells: np.ndarray, event: np.n
 def _solve_rest(b: _Block, r: int, k: int, slots: NeighborSlots, cthresh: float) -> None:
     """Solve row r again past slot k, whose sender was convicted while
     similar: its a*c leaves the sums after the slot."""
-    i = b.lo + r
     s = k + 1
     at = b.after[r, s]
+    rest = b.nbr[r:r + 1, s:]  # the senders past slot k
     v, after = _solve(at.real - b.a[r, k] * b.c[r, k], at.imag - b.c[r, k], b.own[r:r + 1],
                       b.x[r:r + 1, s:], b.a[r:r + 1, s:], b.c[r:r + 1, s:],
-                      slots.rec_a[i:i + 1, s:], slots.rec_c[i:i + 1, s:],
+                      slots.last_ac[rest], slots.last_c[rest],
                       b.prev[r:r + 1, s:], b.part[r:r + 1, s:], cthresh)
     b.verdict[r, s:] = v[0]
     b.after[r, s:] = after[0]
@@ -540,11 +533,11 @@ def run_round(world: WorldState, cfg: ScenarioConfig) -> None:
             events.append((rnd, EVENT_NODE_EXCLUDED, target, None, None))
 
     # phase 4: TTL maintenance; only unheard senders can have gone stale, and
-    # a live receiver drops its stale records in slot order
+    # a live receiver drops its stale similar senders in slot order
     if any_unheard:
-        stale = slots.seen < rnd - cfg.cluster.neighbor_ttl_rounds
-        stale &= world.live_mask()[:, None]
-        slots.forget(*np.nonzero(stale))
+        r, k = np.nonzero(slots.flag & world.live_mask()[:, None])
+        stale = slots.last_round[slots.nbr[r, k]] < rnd - cfg.cluster.neighbor_ttl_rounds
+        slots.forget(r[stale], k[stale])
 
     # phase 5: election and snapshot over globally non-blacklisted nodes;
     # dead nodes hold frozen state and cannot be cluster participants

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 import fdisim.engine as engine
-from fdisim.clustering import (NO_RECORD, ClusterSnapshot, NeighborRecord, NeighborSlots,
-                               NeighborTable)
+from fdisim.clustering import ClusterSnapshot, NeighborSlots, NeighborTable
 from fdisim.detection import CLEARED, DETECTED, PENDING, consensus_verdicts
 from fdisim.engine import ScenarioConfig
 
@@ -71,11 +70,13 @@ def similar_table(neighbors) -> NeighborTable:
 
 
 def slot_records(world, i):
-    """The records node i holds in a run's slot arrays, by sender id."""
+    """The records of node i's similar senders in a run's slot arrays, by
+    sender id: (reading, aggregate * count, count, round), read from the
+    senders' last messages."""
     s = world.slots
-    return {s.nbr.item(i, k): NeighborRecord(s.rec_x.item(i, k), s.rec_a.item(i, k),
-                                             int(s.rec_c.item(i, k)), s.seen.item(i, k))
-            for k in range(s.nbr.shape[1]) if s.seen[i, k] != NO_RECORD}
+    return {j: (s.last_x.item(j), s.last_ac.item(j), int(s.last_c.item(j)),
+                s.last_round.item(j))
+            for j in s.nbr[i, s.flag[i]].tolist()}
 
 
 def run_recorded(cfg, monkeypatch, world_class=engine.WorldState, **replacements):

@@ -195,30 +195,23 @@ def test_build_consensus_region_caps_and_skips():
 def test_handle_alert_new_entry_and_forwarding():
     blacklist = {}
     am = AlertMessage(detector=1, attacker=100, attacker_reading=45.0)
-    assert handle_alert(blacklist, am, is_leader=True, rnd=3) is True
+    assert handle_alert(blacklist, am, rnd=3) is True
     assert blacklist == {100: BlacklistEntry(detected_round=3, detector=1, reading=45.0)}
 
 
 def test_handle_alert_duplicate_idempotent():
     blacklist = {}
     am = AlertMessage(detector=1, attacker=9, attacker_reading=45.0)
-    assert handle_alert(blacklist, am, is_leader=True, rnd=3) is True
+    assert handle_alert(blacklist, am, rnd=3) is True
     entry = blacklist[9]
-    assert handle_alert(blacklist, am, is_leader=True, rnd=7) is False
+    assert handle_alert(blacklist, am, rnd=7) is False
     assert blacklist[9] is entry  # unchanged, original round kept
-
-
-def test_handle_alert_common_node_does_not_forward():
-    blacklist = {}
-    am = AlertMessage(detector=1, attacker=9, attacker_reading=45.0)
-    assert handle_alert(blacklist, am, is_leader=False, rnd=3) is False
-    assert 9 in blacklist
 
 
 def test_handle_alert_rejects_invalid():
     blacklist = {}
     bad = AlertMessage(detector=9, attacker=9, attacker_reading=45.0)
-    assert handle_alert(blacklist, bad, is_leader=True, rnd=0) is False
+    assert handle_alert(blacklist, bad, rnd=0) is False
     assert not blacklist
 
 

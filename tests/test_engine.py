@@ -11,6 +11,7 @@ import pytest
 import fdisim.engine as engine
 from fdisim.attacks import AttackConfig
 from fdisim.clustering import NeighborSlots
+from fdisim.domain import validate_alert_message
 from fdisim.engine import (ConfigError, EVENT_ALERT_FORWARDED, EVENT_ATTACKER_DETECTED,
                            EVENT_DM_DISCARDED, EVENT_DM_SENT, EVENT_NODE_EXCLUDED,
                            EVENT_SUSPECT_ADDED, EVENT_SUSPECT_CLEARED, ScenarioConfig,
@@ -337,29 +338,68 @@ def test_overflowing_aggregates_are_discarded():
     assert result.confusion.total_interactions == 2 * degree_sum
 
 
-def test_discarded_senders_are_pruned_within_ttl(monkeypatch):
-    """Every message is discarded from round 2 on (the aggregates overflow),
-    so no record is refreshed; after every round no live node holds a
-    record older than the TTL."""
-    cfg = ScenarioConfig(n_nodes=30, n_rounds=10)
-    cfg.sensing.base_value = 1e308
-    cfg.sensing.spatial_gradient = 0.0
+UNHEARD_CASES = {
+    # every message is discarded from round 2 on: the aggregates overflow
+    "overflow": lambda: ScenarioConfig(n_nodes=30, n_rounds=10, sensing=FieldConfig(
+        base_value=1e308, spatial_gradient=0.0)),
+    "crash-round-3": lambda: ScenarioConfig(n_nodes=40, n_rounds=20, seed=1,
+                                            crash_fraction=0.3, crash_round=3),
+    "crash-round-0": lambda: ScenarioConfig(n_nodes=60, n_rounds=30, seed=2,
+                                            crash_fraction=0.5, crash_round=0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNHEARD_CASES))
+def test_discarded_senders_are_pruned_within_ttl(case, monkeypatch):
+    """Senders whose messages are discarded, or who crashed and send none,
+    refresh no record; after every round no live node holds a record older
+    than the TTL. A crashed sender's last message is from the round before
+    the crash, so from round crash_round + ttl on no live receiver holds it
+    as similar."""
+    cfg = UNHEARD_CASES[case]()
     ttl = cfg.cluster.neighbor_ttl_rounds
-    stale = []
+    stale, held = [], []
     run_round = engine.run_round
 
     def checked_round(world, cfg):
         run_round(world, cfg)
         rnd = world.round - 1
-        for i in range(cfg.n_nodes):
-            if i in world.excluded:
-                continue
-            stale.extend((rnd, i, j) for j, rec in slot_records(world, i).items()
-                         if rnd - rec.last_seen_round > ttl)
+        for i in np.flatnonzero(world.live_mask()).tolist():
+            records = slot_records(world, i)
+            stale.extend((rnd, i, j) for j, (*_, seen) in records.items() if rnd - seen > ttl)
+            held.extend(rnd for j in records if j in world.crashed)
 
-    result, _ = run_recorded(cfg, monkeypatch, run_round=checked_round)
-    assert any(e[1] == EVENT_DM_DISCARDED for e in result.events)
+    result, world = run_recorded(cfg, monkeypatch, run_round=checked_round)
     assert stale == []
+    if case == "overflow":
+        assert any(e[1] == EVENT_DM_DISCARDED for e in result.events)
+    else:
+        assert len(world.crashed) == round(cfg.crash_fraction * cfg.n_nodes)
+        assert all(rnd < cfg.crash_round + ttl for rnd in held)
+        assert held or cfg.crash_round == 0
+
+
+@pytest.mark.parametrize("cfg", [
+    ScenarioConfig(n_nodes=40, n_rounds=40, seed=3),
+    ScenarioConfig(n_nodes=60, n_rounds=20, seed=2, crash_fraction=0.3, crash_round=1),
+    ScenarioConfig(n_nodes=40, n_rounds=60, seed=3, attack=AttackConfig(attack_type="churn")),
+    ScenarioConfig(n_nodes=40, n_rounds=40, seed=2, attack=AttackConfig(attack_type="churn")),
+], ids=["fdi", "crash", "churn-3", "churn-2"])
+def test_alerts_reach_only_leaders_about_convicted_attackers(cfg, monkeypatch):
+    """Every alert the engine delivers goes to a leader of the last
+    snapshot, names an attacker already in the blacklisted union and is
+    valid, so delivery needs to check none of these."""
+    deliver = engine._deliver_alert
+    facts = []
+
+    def checked(world, receiver, am, rnd):
+        facts.append((receiver in world.global_leaders, am.attacker in world.blacklisted_union,
+                      validate_alert_message(am)))
+        return deliver(world, receiver, am, rnd)
+
+    run_recorded(cfg, monkeypatch, _deliver_alert=checked)
+    assert facts
+    assert all(all(fact) for fact in facts)
 
 
 def test_crashed_leaders_take_no_alerts(monkeypatch):
@@ -424,7 +464,7 @@ def test_alert_forgets_the_attackers_slot(monkeypatch):
     i, k = (int(v) for v in np.argwhere(slots.flag)[0])
     j = slots.nbr.item(i, k)
     aw, w = slots.sum_aw.item(i), slots.sum_w.item(i)
-    a, c = slots.rec_a.item(i, k), slots.rec_c.item(i, k)
+    ac, c = slots.last_ac.item(j), slots.last_c.item(j)
     slots.suspected[i, k] = True
     detector = next(d for d in range(cfg.n_nodes) if d not in (i, j))
     am = engine.AlertMessage(detector=detector, attacker=j, attacker_reading=45.0)
@@ -433,11 +473,10 @@ def test_alert_forgets_the_attackers_slot(monkeypatch):
     assert not slots.suspected[i, k]
     assert j not in slot_records(world, i)
     assert not slots.flag[i, k] and slots.blocked[i, k]
-    assert slots.sum_aw.item(i) == aw - a * c and slots.sum_w.item(i) == w - c
-    rest = slots.flag[i]
-    assert slots.sum_aw.item(i) == pytest.approx(float(np.sum(slots.rec_a[i, rest] *
-                                                              slots.rec_c[i, rest])))
-    assert slots.sum_w.item(i) == float(np.sum(slots.rec_c[i, rest]))
+    assert slots.sum_aw.item(i) == aw - ac and slots.sum_w.item(i) == w - c
+    rest = slots.nbr[i, slots.flag[i]]
+    assert slots.sum_aw.item(i) == pytest.approx(float(np.sum(slots.last_ac[rest])))
+    assert slots.sum_w.item(i) == float(np.sum(slots.last_c[rest]))
 
 
 @pytest.mark.parametrize("n_nodes", [7, 300])

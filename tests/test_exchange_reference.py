@@ -146,14 +146,11 @@ def reference_exchange(world, cfg):
 
 def _deliver(world, receiver, am, rnd):
     st = world.states[receiver]
-    if am.attacker in st.blacklist or receiver in world.dead():
-        return False
-    forward = handle_alert(st.blacklist, am, receiver in world.global_leaders, rnd)
-    if am.attacker not in st.blacklist:
+    if receiver in world.dead() or not handle_alert(st.blacklist, am, rnd):
         return False
     st.suspects.discard(am.attacker)
     world.note_blacklisted(receiver, am.attacker)
-    return forward
+    return True
 
 
 def reference_round(world, cfg):
@@ -286,16 +283,27 @@ CASES = {
 
 def _engine_nodes(world):
     slots = world.slots
-    return [(slot_records(world, i), slots.nbr[i, slots.flag[i]].tolist(),
+    live = world.live_mask()
+    return [(slot_records(world, i) if live[i] else None, slots.nbr[i, slots.flag[i]].tolist(),
              repr(float(slots.sum_aw[i])), repr(float(slots.sum_w[i])),
              set(slots.nbr[i, slots.suspected[i]].tolist()))
             for i in range(world.cfg.n_nodes)]
 
 
 def _reference_nodes(world):
-    # repr compares nan and inf sums exactly
-    return [(st.table.records, sorted(st.table.similar), repr(st.table._sum_aw),
-             repr(st.table._sum_w), st.suspects) for st in world.states]
+    # records are compared for the nodes live at the end, and only those of
+    # their similar senders: the engine holds no other; repr compares nan
+    # and inf sums exactly
+    out = []
+    for i, st in enumerate(world.states):
+        records = None
+        if i not in world.excluded and i not in world.dead():
+            records = {j: (rec.individual_reading, rec.aggregate_reading * rec.neighbor_count,
+                           rec.neighbor_count, rec.last_seen_round)
+                       for j, rec in st.table.records.items() if j in st.table.similar}
+        out.append((records, sorted(st.table.similar), repr(st.table._sum_aw),
+                    repr(st.table._sum_w), st.suspects))
+    return out
 
 
 def _assert_same_run(flat, flat_world, ref, ref_world):

@@ -47,8 +47,8 @@ def solve_rows(rows, cthresh=CTHRESH):
     x, a, c, old_a, old_c = (column(f).reshape(len(rows), width) for f in range(5))
     prev, part = (column(f, bool).reshape(len(rows), width) for f in (5, 6))
     return engine._solve(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]),
-                         np.array([r[2] for r in rows]), x, a, c, old_a, old_c, prev, part,
-                         cthresh)
+                         np.array([r[2] for r in rows]), x, a, c, old_a * old_c, old_c, prev,
+                         part, cthresh)
 
 
 def check_rows(rows, cthresh=CTHRESH):

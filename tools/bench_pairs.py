@@ -16,10 +16,15 @@ its sweeps. Per side, the file gives the median and the quartiles
 metric the number of pairs in which the change was better. Beside the
 relative change of the medians it gives the median of the per-pair
 change/parent ratios, which drift that moves both runs of a pair alike
-leaves alone. A run that exits non-zero or prints no result stops the
-tool with an error. ``--traced-seed`` adds one ``--trace 1`` run per side
-and workload. The file is rewritten after every pair, so an interrupted
-session keeps what it measured.
+leaves alone. Per side it also gives the median, over runs, of the minor
+page faults, user seconds and system seconds each run's process tree
+(interpreter start, pool workers and the benchmark's checks included)
+took per simulation run, read with ``getrusage(RUSAGE_CHILDREN)``; they
+show allocator noise that ``wall_s`` alone hides. A run that exits
+non-zero or prints no result stops the tool with an error.
+``--traced-seed`` adds one ``--trace 1`` run per side and workload. The
+file is rewritten after every pair, so an interrupted session keeps what
+it measured.
 """
 
 from __future__ import annotations
@@ -28,10 +33,15 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
 from typing import Dict, List, Optional
+
+
+# per-run resource use: the name in the BENCH file -> the getrusage field
+RUSAGE_FIELDS = {"minor_faults": "ru_minflt", "user_s": "ru_utime", "system_s": "ru_stime"}
 
 
 def run_bench(checkout: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -39,7 +49,9 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: int, trace: int)
     with an error naming the run if it failed or printed no result."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -49,6 +61,8 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: int, trace: int)
         sys.exit(f"bench_pairs: {' '.join(cmd[1:])} in {checkout} exited "
                  f"{proc.returncode}\n{proc.stderr[-2000:]}")
     result["exit"] = proc.returncode
+    result["rusage"] = {name: getattr(after, field) - getattr(before, field)
+                        for name, field in RUSAGE_FIELDS.items()}
     return result
 
 
@@ -63,6 +77,13 @@ def side_stats(values: List[float]) -> Dict[str, float]:
         q1 = q3 = values[0]
     return {"median": _sig(statistics.median(values)), "q1": _sig(q1), "q3": _sig(q3),
             "iqr": _sig(q3 - q1)}
+
+
+def per_simulation_run(runs: List[dict]) -> Dict[str, float]:
+    """Median over runs of each run's resource use divided by its
+    simulation runs attempted."""
+    return {name: _sig(statistics.median(r["rusage"][name] / r["attempted"] for r in runs))
+            for name in RUSAGE_FIELDS}
 
 
 def compare(parent: List[float], change: List[float], better: str) -> dict:
@@ -153,6 +174,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                               for s in sides},
                 "simulation_runs_failed": {s: sum(r["failed"] for r in runs[s])
                                            for s in sides},
+                "per_simulation_run": {s: per_simulation_run(runs[s]) for s in sides},
                 "metrics": {},
             }
             for m in bench["end_to_end"]:
